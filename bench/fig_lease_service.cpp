@@ -208,11 +208,8 @@ void json_row(JsonWriter& j, const Row& row) {
 
 int main(int argc, char** argv) {
   using namespace sprwl::bench;
-  const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const Args args = Args::parse(argc, argv, /*has_smoke=*/true);
+  const bool smoke = args.smoke;
   const int ops = smoke ? 60 : (args.full ? 300 : 120);
   const std::vector<int> node_counts =
       smoke ? std::vector<int>{2, 4} : std::vector<int>{2, 4, 8};

@@ -36,7 +36,6 @@
 // (`bravo_identity_1socket`). `--smoke` shrinks every sweep for CI. Exit
 // status is non-zero if any identity or bravo acceptance check fails.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -253,11 +252,8 @@ const NumaPoint* find(const std::vector<NumaPoint>& pts, int sockets,
 }
 
 int run(int argc, char** argv) {
-  const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const Args args = Args::parse(argc, argv, /*has_smoke=*/true);
+  const bool smoke = args.smoke;
   const Machine m = broadwell_machine();
   HashmapFigParams p = machine_params(m, args);
   if (args.measure_cycles == 0 && !args.full) {

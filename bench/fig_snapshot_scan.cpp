@@ -24,7 +24,6 @@
 // >=100x width span with snapshot on; super-linear degradation with it
 // off; off-api trace identity), exiting nonzero on violation.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -229,11 +228,8 @@ void write_json(const std::vector<Row>& rows, bool acceptance_ok, bool smoke,
 
 int main(int argc, char** argv) {
   using namespace sprwl::bench;
-  const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const Args args = Args::parse(argc, argv, /*has_smoke=*/true);
+  const bool smoke = args.smoke;
   const std::uint64_t measure =
       args.measure_cycles != 0
           ? args.measure_cycles

@@ -24,7 +24,6 @@
 // exiting nonzero on violation.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -423,11 +422,8 @@ void sweep_lock(const char* name, MakeLock&& make_lock, const Params& p,
 
 int main(int argc, char** argv) {
   using namespace sprwl::bench;
-  const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const Args args = Args::parse(argc, argv, /*has_smoke=*/true);
+  const bool smoke = args.smoke;
   Params p;
   p.seed = args.seed;
   if (smoke) p.requests = 600;

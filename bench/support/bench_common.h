@@ -8,11 +8,16 @@
 //   --profile=broadwell|power8|both
 //   --measure=<cycles>    measurement window in virtual cycles
 //   --seed=<n>
+//   --smoke               reduced CI sweep (only benches that have one)
+// Anything else — an unknown flag, a bad profile, a non-numeric number —
+// prints the usage to stderr and exits with status 2.
 #pragma once
 
 #include <cassert>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -27,27 +32,56 @@ namespace sprwl::bench {
 
 struct Args {
   bool full = false;
+  bool smoke = false;
   std::string profile = "both";
   std::uint64_t measure_cycles = 0;  // 0 = per-bench default
   std::uint64_t seed = 42;
 
-  static Args parse(int argc, char** argv) {
+  /// Parses the shared flags; `has_smoke` says whether this bench accepts
+  /// --smoke. Exits 2 on anything it does not recognise.
+  static Args parse(int argc, char** argv, bool has_smoke = false) {
     Args a;
+    const auto usage = [&](std::FILE* out, int status) {
+      std::fprintf(out,
+                   "options: --full  --profile=broadwell|power8|both  "
+                   "--measure=<cycles>  --seed=<n>%s\n",
+                   has_smoke ? "  --smoke" : "");
+      std::exit(status);
+    };
+    const auto bad = [&](const std::string& why) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+      usage(stderr, 2);
+    };
+    const auto number = [&](const std::string& arg, std::size_t skip) {
+      const char* text = arg.c_str() + skip;
+      char* end = nullptr;
+      errno = 0;
+      const std::uint64_t v = std::strtoull(text, &end, 10);
+      if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+        bad("not a decimal number: " + arg);
+      }
+      return v;
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--full") {
         a.full = true;
+      } else if (arg == "--smoke" && has_smoke) {
+        a.smoke = true;
       } else if (arg.rfind("--profile=", 0) == 0) {
         a.profile = arg.substr(10);
+        if (a.profile != "broadwell" && a.profile != "power8" &&
+            a.profile != "both") {
+          bad("unknown profile: " + arg);
+        }
       } else if (arg.rfind("--measure=", 0) == 0) {
-        a.measure_cycles = std::strtoull(arg.c_str() + 10, nullptr, 10);
+        a.measure_cycles = number(arg, 10);
       } else if (arg.rfind("--seed=", 0) == 0) {
-        a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+        a.seed = number(arg, 7);
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "options: --full  --profile=broadwell|power8|both  "
-            "--measure=<cycles>  --seed=<n>\n");
-        std::exit(0);
+        usage(stdout, 0);
+      } else {
+        bad("unknown option: " + arg);
       }
     }
     return a;

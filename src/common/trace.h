@@ -8,7 +8,7 @@
 //
 // Intended use: install a Tracer around a puzzling run, drain() it, and
 // read the interleaved decision timeline — which reader deferred to the
-// SGL, which writer burned its budget, when the adaptive tracker flipped.
+// SGL, which writer burned its budget, when a writer revoked the bias.
 #pragma once
 
 #include <atomic>
@@ -37,10 +37,6 @@ enum class Event : std::uint8_t {
   kWriterBackoff,      ///< exponential retry backoff; arg = backoff cycles
   kStalledReaderEscalate,  ///< reader-stall watchdog fired; arg = attempts
   kLemmingAvoided,     ///< lock-busy abort forgiven (no retry burned)
-  // Tracking-mode (adaptive)
-  kModeFlipToSnzi,
-  kModeFlipToFlags,
-  kModeTransitionDone,
   // BRAVO global reader bias (DESIGN.md §12)
   kReadBiasEnter,      ///< fast-path read via the global reader table
   kReadBiasExit,
@@ -142,9 +138,6 @@ inline const char* to_string(Event e) noexcept {
     case Event::kWriterBackoff: return "writer-backoff";
     case Event::kStalledReaderEscalate: return "stalled-reader-escalate";
     case Event::kLemmingAvoided: return "lemming-avoided";
-    case Event::kModeFlipToSnzi: return "mode-flip-to-snzi";
-    case Event::kModeFlipToFlags: return "mode-flip-to-flags";
-    case Event::kModeTransitionDone: return "mode-transition-done";
     case Event::kReadBiasEnter: return "read-bias-enter";
     case Event::kReadBiasExit: return "read-bias-exit";
     case Event::kBiasRevoke: return "bias-revoke";

@@ -87,20 +87,11 @@ struct Config {
   /// HTM attempts for writers before the SGL fallback (capacity aborts
   /// activate the fallback immediately, as in the paper's retry policy).
   int max_retries = 10;
-  /// HTM attempts for the optimistic reader path.
-  int reader_htm_retries = 10;
   bool reader_sync = true;
   bool reader_join = true;
   bool writer_sync = true;
   bool reader_htm_first = true;
   bool use_snzi = false;
-  /// Self-tuning reader tracking (the paper's Section 5 future work):
-  /// readers register through per-thread flags while the sampled reader
-  /// duration is short and through SNZI once it exceeds
-  /// adaptive_threshold_cycles, with a drain-based two-phase transition so
-  /// writers always observe every active reader. Overrides use_snzi.
-  bool adaptive_tracking = false;
-  std::uint64_t adaptive_threshold_cycles = 20'000;
   bool versioned_sgl = false;
   /// Commit-time reader scan granularity (non-SNZI path): batched reads the
   /// 64-byte-aligned state array one cache line (8 flags) at a time with an
@@ -112,9 +103,6 @@ struct Config {
   bool batched_reader_scan = true;
   /// δ as a fraction of the writer's expected duration (paper default 1/2).
   double delta_fraction = 0.5;
-  double ema_alpha = 0.125;
-  /// Thread that samples critical-section durations (§3.2.1).
-  int sampler_tid = 0;
   /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
   /// leaves (bounded contention per leaf, logarithmic update cost).
   int snzi_levels = 0;
@@ -129,29 +117,13 @@ struct Config {
   /// attempt. Any reader arrival still bumps a subscribed summary line, so
   /// the scan aborts on exactly the same interleavings as the flat layouts
   /// (the safety argument is unchanged; the checker registers this as the
-  /// "SpRWL-sharded" variant). When use_snzi is also set the SNZI tree goes
-  /// socket-major instead (snzi::Snzi::Config). Off = today's flat layouts.
+  /// "SpRWL-sharded" variant). When use_snzi is also set the SNZI tree
+  /// replaces the summaries as the commit-time check. Off = flat layouts.
   bool socket_sharded_tracking = false;
   /// The machine shape the sharding follows (socket-major dense tids, like
   /// sim::SimConfig::topology). The 1-socket default degenerates to one
   /// shard: a single summary word in front of the flat flags.
   sim::Topology topology{};
-  /// RSync-aligned reader batching (DESIGN.md §16): the reader-scheduling
-  /// scans visit per-socket state first and descend into a socket's flag
-  /// shard only when that socket can matter. writer_wait (Alg. 3) reads
-  /// each socket's one-word reader count and skips sockets whose count is
-  /// 0 — an idle remote socket costs one line read instead of
-  /// cores_per_socket flag reads. readers_wait (Alg. 2) reads each shard
-  /// line with one OR-summary load and scans per-word only where the OR
-  /// carries a writer bit (the reader-count summary cannot gate it:
-  /// writers advertise flags but are deliberately invisible to the reader
-  /// counts). Scheduling heuristics only — the waits target the same
-  /// writer/reader either way; the commit-time safety scan is unchanged.
-  /// Requires socket_sharded_tracking (the summaries and the socket-major
-  /// flag layout are what it batches over).
-  bool socket_batched_rsync = false;
-  /// Expected duration, in cycles, used before the first sample arrives.
-  std::uint64_t bootstrap_estimate = 500;
 
   // --- BRAVO global reader bias (DESIGN.md §12) ---------------------------
   /// Route readers through the process-global bravo_table while this lock's
@@ -191,17 +163,16 @@ struct Config {
   /// writer_wait (Alg. 3) instead; lock-busy aborts wait for the SGL.
   /// base = 0 disables backoff.
   std::uint64_t backoff_base_cycles = 120;
-  std::uint64_t backoff_max_cycles = 8'192;
   /// Total virtual time a writer may spend retrying HTM (attempts, waits
   /// and backoffs) before escalating to the SGL. 0 = unbounded. Far above
   /// any healthy retry sequence; bounds pathological abort storms.
   std::uint64_t writer_retry_budget_cycles = 8'000'000;
   /// Stalled-reader watchdog: a writer continuously aborted by readers for
-  /// longer than max(slack, multiplier * sampled reader EMA) stops burning
-  /// transactions and escalates to the (versioned) SGL — the reader is
-  /// presumed descheduled with its flag raised. multiplier <= 0 disables.
+  /// longer than max(kReaderStallSlackCycles, multiplier * sampled reader
+  /// EMA) stops burning transactions and escalates to the (versioned) SGL —
+  /// the reader is presumed descheduled with its flag raised. multiplier
+  /// <= 0 disables.
   double reader_stall_multiplier = 16.0;
-  std::uint64_t reader_stall_slack_cycles = 64'000;
   /// Lemming-effect avoidance: aborts caused purely by the busy fallback
   /// lock do not consume retry attempts, so one writer on the SGL cannot
   /// cascade the whole writer population onto it.
@@ -229,6 +200,21 @@ struct Config {
   /// must catch the resulting atomicity violation. -1 = off; never set in
   /// production.
   int broken_revoke_skip_shard = -1;
+
+  // --- fixed tuning (no workload varies these) ----------------------------
+  /// HTM attempts for the optimistic reader path (§3.4).
+  static constexpr int kReaderHtmRetries = 10;
+  /// Smoothing factor of the per-critical-section duration EMAs (§3.2.1).
+  static constexpr double kEmaAlpha = 0.125;
+  /// Thread that samples critical-section durations (§3.2.1).
+  static constexpr int kSamplerTid = 0;
+  /// Expected duration, in cycles, used before the first sample arrives.
+  static constexpr std::uint64_t kBootstrapEstimate = 500;
+  /// Cap of the exponential writer backoff (see backoff_base_cycles).
+  static constexpr std::uint64_t kBackoffMaxCycles = 8'192;
+  /// Floor of the stalled-reader watchdog threshold (see
+  /// reader_stall_multiplier).
+  static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
 
   static Config variant(SchedulingVariant v, int max_threads) {
     Config c;
@@ -270,13 +256,6 @@ class SpRWLock {
           "SpRWLock: socket_sharded_tracking needs sockets * "
           "cores_per_socket >= max_threads (see sim::Topology::split)");
     }
-    if (cfg_.socket_batched_rsync && !cfg_.socket_sharded_tracking) {
-      throw std::invalid_argument(
-          "SpRWLock: Config::socket_batched_rsync requires "
-          "socket_sharded_tracking (it batches over the socket-major "
-          "flag shards and their summaries)");
-    }
-    if (cfg_.adaptive_tracking) cfg_.use_snzi = false;  // mode_ decides
     if (cfg_.bravo_bias) {
       if (cfg_.bravo_table == nullptr) {
         throw std::invalid_argument(
@@ -304,22 +283,11 @@ class SpRWLock {
   SpRWLock(const SpRWLock&) = delete;
   SpRWLock& operator=(const SpRWLock&) = delete;
 
-  /// Current reader-tracking mode (for tests and introspection):
-  /// true = SNZI, false = per-thread flags.
-  bool tracking_with_snzi() const {
-    const Plane* p = plane_peek();
-    return p != nullptr ? p->mode_.raw_load() == kModeSnzi : cfg_.use_snzi;
-  }
-  bool tracking_transition_active() const {
-    const Plane* p = plane_peek();
-    return p != nullptr && p->transition_.raw_load() != 0;
-  }
-
   /// Leaf count of the SNZI tree, if one exists (tests pin the auto-sizing
   /// here); 0 when tracking is flags-only. Forces the lazy plane: callers
   /// asking about tree geometry want the tree the lock *would* use.
   std::size_t snzi_leaf_count() {
-    if (!cfg_.use_snzi && !cfg_.adaptive_tracking) return 0;
+    if (!cfg_.use_snzi) return 0;
     Plane& p = plane();
     return p.snzi_ != nullptr ? p.snzi_->leaf_count() : 0;
   }
@@ -463,7 +431,6 @@ class SpRWLock {
     Plane& p = plane();
     bool have_pass = false;       // versioned-SGL bypass (§3.3)
     std::uint64_t pass_below = 0;
-    std::uint64_t track_mode = kModeFlags;
     for (;;) {
       // Between iterations nothing is advertised, so expiry needs no
       // unwind here (waiting_ver_ is cleared before each defer exit).
@@ -482,7 +449,7 @@ class SpRWLock {
             platform::now() + read_estimate(p, cs_id),
             std::memory_order_relaxed);
       }
-      track_mode = advertise_reader(p, tid);
+      advertise_reader(p, tid);
       if (cfg_.versioned_sgl) {
         p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
             0, std::memory_order_release);
@@ -491,7 +458,7 @@ class SpRWLock {
       if (have_pass && gl_.version() > pass_below) break;  // reader priority
       // Defer to the SGL holder (Alg. 1, reader_gl_sync).
       trace::emit(trace::Event::kReaderDeferSgl);
-      unadvertise_reader(p, tid, track_mode);
+      unadvertise_reader(p, tid);
       if (cfg_.versioned_sgl) {
         const std::uint64_t v0 = gl_.version();
         p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
@@ -532,17 +499,16 @@ class SpRWLock {
     {
       ScopeExit release([&] {
         htm::memory_fence();  // reads must complete before the flag clears
-        unadvertise_reader(p, tid, track_mode);
+        unadvertise_reader(p, tid);
         trace::emit(trace::Event::kReadUninsExit);
       });
       std::forward<F>(f)();
       fault::checkpoint(fault::InjectPoint::kReadExit, this);
     }
-    if (tid == cfg_.sampler_tid) {
+    if (tid == Config::kSamplerTid) {
       p.read_ema_[ema_slot(cs_id)]->record(platform::now() - cs_start);
       read_estimate_hint_.store(p.read_ema_[ema_slot(cs_id)]->estimate(),
                                 std::memory_order_relaxed);
-      if (cfg_.adaptive_tracking) maybe_adapt(p, cs_id);
     }
     p.modes_.record_read(locks::CommitMode::kUnins);
     if (cfg_.bravo_bias) maybe_rebias(tid);
@@ -643,7 +609,7 @@ class SpRWLock {
         // overwrites last_commit_version() (the SI checker needs the
         // version that stamped the section's lines, not the metadata's).
         engine->note_section_version();
-        if (tid == cfg_.sampler_tid) {
+        if (tid == Config::kSamplerTid) {
           if (Plane* p = plane_peek()) {
             p->write_ema_[ema_slot(cs_id)]->record(platform::now() -
                                                    attempt_start);
@@ -731,7 +697,7 @@ class SpRWLock {
           backoff = backoff == 0
                         ? cfg_.backoff_base_cycles
                         : std::min<std::uint64_t>(backoff * 2,
-                                                  cfg_.backoff_max_cycles);
+                                                  Config::kBackoffMaxCycles);
           trace::emit(trace::Event::kWriterBackoff,
                       static_cast<std::uint32_t>(backoff));
           const std::uint64_t target =
@@ -865,8 +831,6 @@ class SpRWLock {
   static constexpr std::uint64_t kWriter = 2;  // bit 1: invisible to the scan
   /// 8-byte flags per 64-byte cache line (batched commit scan granularity).
   static constexpr std::size_t kFlagsPerLine = 8;
-  static constexpr std::uint64_t kModeFlags = 0;
-  static constexpr std::uint64_t kModeSnzi = 1;
   static constexpr std::size_t kEmaSlots = 256;
   // Bias word states (DESIGN.md §12). Writers treat anything != kBiasOff as
   // "fast readers may exist": kBiasRevoking keeps a second writer out of
@@ -903,12 +867,12 @@ class SpRWLock {
           modes_(cfg.max_threads) {
       for (auto& w : waiting_for_) w->store(-1, std::memory_order_relaxed);
       for (auto& e : read_ema_) {
-        e = std::make_unique<DurationEma>(cfg.ema_alpha);
+        e = std::make_unique<DurationEma>(Config::kEmaAlpha);
       }
       for (auto& e : write_ema_) {
-        e = std::make_unique<DurationEma>(cfg.ema_alpha);
+        e = std::make_unique<DurationEma>(Config::kEmaAlpha);
       }
-      if (cfg.use_snzi || cfg.adaptive_tracking) {
+      if (cfg.use_snzi) {
         int levels = cfg.snzi_levels;
         if (levels == 0) {
           levels = 1;
@@ -921,18 +885,8 @@ class SpRWLock {
             ++levels;
           }
         }
-        snzi::Snzi::Config sc;
-        sc.levels = levels;
-        if (sharded) {
-          // Socket-major leaves: same-socket slots share a contiguous leaf
-          // block, so reader arrive/depart traffic stays socket-local.
-          sc.sockets = cfg.topology.sockets;
-          sc.cores_per_socket = cfg.topology.cores_per_socket;
-        }
-        snzi_ = std::make_unique<snzi::Snzi>(sc);
+        snzi_ = std::make_unique<snzi::Snzi>(snzi::Snzi::Config{levels});
       }
-      mode_.raw_store(cfg.use_snzi ? kModeSnzi : kModeFlags);
-      transition_.raw_store(0);
     }
 
     /// Heap bytes of the plane (per-lock footprint accounting).
@@ -972,8 +926,6 @@ class SpRWLock {
     std::vector<CacheLinePadded<std::uint64_t>> reader_aborts_;
     std::vector<CacheLinePadded<ScanStat>> scan_stats_;
     std::unique_ptr<snzi::Snzi> snzi_;
-    htm::Shared<std::uint64_t> mode_;        ///< current tracking structure
-    htm::Shared<std::uint64_t> transition_;  ///< nonzero: writers check both
     std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
     std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
     locks::ModeRecorder modes_;
@@ -1064,20 +1016,6 @@ class SpRWLock {
     return static_cast<std::size_t>(s) * kFlagsPerLine;
   }
 
-  /// Inverse of state_slot: the tid owning a flag slot, or -1 for shard
-  /// padding (the batched scheduling scans walk slots line-wise and must
-  /// map hits back to threads). Verified against state_slot so the two
-  /// can never disagree on a layout corner case.
-  int tid_of_slot(std::size_t slot) const noexcept {
-    const int s = static_cast<int>(slot / socket_stride_);
-    const std::size_t local = slot % socket_stride_;
-    const int cps = cfg_.topology.cores_per_socket;
-    const int t = sockets_ > 1 && cps > 0
-                      ? s * cps + static_cast<int>(local)
-                      : static_cast<int>(local);
-    return t < cfg_.max_threads && state_slot(t) == slot ? t : -1;
-  }
-
   /// SNZI-style per-socket reader count: the zero/non-zero state of socket
   /// s's readers in one word on socket s's own line. A strong-isolation CAS
   /// loop — the arrival's version bump on this line is what aborts any
@@ -1094,11 +1032,11 @@ class SpRWLock {
 
   std::uint64_t read_estimate(Plane& p, int cs_id) const {
     const std::uint64_t e = p.read_ema_[ema_slot(cs_id)]->estimate();
-    return e != 0 ? e : cfg_.bootstrap_estimate;
+    return e != 0 ? e : Config::kBootstrapEstimate;
   }
   std::uint64_t write_estimate(Plane& p, int cs_id) const {
     const std::uint64_t e = p.write_ema_[ema_slot(cs_id)]->estimate();
-    return e != 0 ? e : cfg_.bootstrap_estimate;
+    return e != 0 ? e : Config::kBootstrapEstimate;
   }
 
   /// How long a writer tolerates consecutive reader aborts before presuming
@@ -1111,7 +1049,7 @@ class SpRWLock {
     const auto scaled = static_cast<std::uint64_t>(
         cfg_.reader_stall_multiplier *
         static_cast<double>(read_estimate_hint_.load(std::memory_order_relaxed)));
-    return std::max(cfg_.reader_stall_slack_cycles, scaled);
+    return std::max(Config::kReaderStallSlackCycles, scaled);
   }
 
   // --- BRAVO fast path / revocation / re-bias (DESIGN.md §12) -------------
@@ -1275,14 +1213,15 @@ class SpRWLock {
       if (status.committed()) return true;
       plane().modes_.record_abort(status, kCodeLockBusy, kCodeReader);
       if (status.cause == htm::AbortCause::kCapacity ||
-          attempts >= cfg_.reader_htm_retries) {
+          attempts >= Config::kReaderHtmRetries) {
         return false;
       }
     }
   }
 
-  void register_reader(Plane& p, int tid, std::uint64_t mode) {
-    if (mode == kModeSnzi) {
+  /// Advertises the reader in the configured tracking structure.
+  void advertise_reader(Plane& p, int tid) {
+    if (cfg_.use_snzi) {
       p.snzi_->arrive(tid);
     } else {
       p.state_[state_slot(tid)].store(kReader);  // strong isolation
@@ -1291,73 +1230,13 @@ class SpRWLock {
     htm::memory_fence();  // flag must be visible before the section's reads
   }
 
-  /// Advertises the reader in the current tracking structure and returns
-  /// the mode used (the reader must deregister from the same structure).
-  /// Under adaptive tracking the mode is re-checked after registration so
-  /// that a reader racing a mode flip can never sit, active, in a
-  /// structure the sampler already declared drained.
-  std::uint64_t advertise_reader(Plane& p, int tid) {
-    std::uint64_t m = cfg_.adaptive_tracking
-                          ? p.mode_.load()
-                          : (cfg_.use_snzi ? kModeSnzi : kModeFlags);
-    for (;;) {
-      register_reader(p, tid, m);
-      if (!cfg_.adaptive_tracking) return m;
-      const std::uint64_t cur = p.mode_.load();
-      if (cur == m) return m;
-      unadvertise_reader(p, tid, m);
-      m = cur;
-    }
-  }
-
-  void unadvertise_reader(Plane& p, int tid, std::uint64_t mode) {
-    if (mode == kModeSnzi) {
+  void unadvertise_reader(Plane& p, int tid) {
+    if (cfg_.use_snzi) {
       p.snzi_->depart(tid);
     } else {
       p.state_[state_slot(tid)].store(kIdle);
       if (sharded_) socket_count_update(p, tid, -1);
     }
-  }
-
-  /// Sampler-side self-tuning (Section 5 future work): flip the tracking
-  /// structure when the sampled reader duration crosses the threshold.
-  /// Two-phase: transition_ stays set (writers check BOTH structures)
-  /// until the old structure is observed drained.
-  void maybe_adapt(Plane& p, int cs_id) {
-    if (p.transition_.load() != 0) {
-      const std::uint64_t old_mode =
-          p.mode_.load() == kModeSnzi ? kModeFlags : kModeSnzi;
-      if (structure_quiet(p, old_mode)) {
-        p.transition_.store(0);
-        trace::emit(trace::Event::kModeTransitionDone);
-      }
-      return;
-    }
-    const std::uint64_t desired =
-        read_estimate(p, cs_id) >= cfg_.adaptive_threshold_cycles ? kModeSnzi
-                                                                  : kModeFlags;
-    if (desired != p.mode_.load()) {
-      p.transition_.store(1);  // ordered before the flip (engine-serialized)
-      p.mode_.store(desired);
-      trace::emit(desired == kModeSnzi ? trace::Event::kModeFlipToSnzi
-                                       : trace::Event::kModeFlipToFlags);
-    }
-  }
-
-  bool structure_quiet(Plane& p, std::uint64_t mode) const {
-    if (mode == kModeSnzi) return p.snzi_->root_count_raw() == 0;
-    if (sharded_) {
-      for (int s = 0; s < sockets_; ++s) {
-        if (p.socket_count_[socket_word(s)].raw_load() != 0) return false;
-      }
-      return true;
-    }
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (p.state_[static_cast<std::size_t>(t)].raw_load() == kReader) {
-        return false;
-      }
-    }
-    return true;
   }
 
   /// Commit-time reader check, executed inside the writer's transaction.
@@ -1384,18 +1263,10 @@ class SpRWLock {
       if (plane_published_.load() == 0) return;  // no slow reader ever
     }
     Plane& p = plane();
-    bool check_snzi = cfg_.use_snzi;
-    bool check_flags = !cfg_.use_snzi;
-    if (cfg_.adaptive_tracking) {
-      // Transactional reads: the writer subscribes to the mode words, so a
-      // transition mid-transaction aborts it rather than hiding a reader.
-      const bool in_transition = p.transition_.load() != 0;
-      const std::uint64_t m = p.mode_.load();
-      check_snzi = in_transition || m == kModeSnzi;
-      check_flags = in_transition || m == kModeFlags;
+    if (cfg_.use_snzi) {
+      if (p.snzi_->query()) engine->abort_tx(kCodeReader);
+      return;
     }
-    if (check_snzi && p.snzi_->query()) engine->abort_tx(kCodeReader);
-    if (!check_flags) return;
     if (sharded_) {
       // Hierarchical scan: S transactionally-subscribed socket summaries
       // instead of ceil(T/8) flag lines. A reader arriving on any socket
@@ -1450,65 +1321,21 @@ class SpRWLock {
     int wait_for = -1;
     bool joined = false;
     std::uint64_t max_end = 0;
-    if (cfg_.socket_batched_rsync) {
-      // Line-batched scan (DESIGN.md §16): one OR-summary load per shard
-      // line, per-word state reads only where the OR carries the writer
-      // bit — an idle socket costs stride/8 loads instead of
-      // cores_per_socket. The join probe (waiting_for_) has no flag the OR
-      // could gate, but it is an uncharged plain-atomic load, so the
-      // charged cost still drops from max_threads word reads to line
-      // reads + flagged writers.
-      for (int s = 0; s < sockets_ && !joined; ++s) {
-        const std::size_t base0 =
-            static_cast<std::size_t>(s) * socket_stride_;
-        for (std::size_t base = base0;
-             base < base0 + socket_stride_ && !joined;
-             base += kFlagsPerLine) {
-          const std::size_t count =
-              std::min(kFlagsPerLine, base0 + socket_stride_ - base);
-          const bool has_writer =
-              (htm::line_or_plain(&p.state_[base], count) & kWriter) != 0;
-          for (std::size_t sl = base; sl < base + count; ++sl) {
-            const int t = tid_of_slot(sl);
-            if (t < 0 || t == tid) continue;
-            const std::size_t ts = static_cast<std::size_t>(t);
-            if (has_writer && state_raw(p, t) == kWriter) {
-              const std::uint64_t end =
-                  p.clock_w_[ts]->load(std::memory_order_relaxed);
-              if (wait_for == -1 || end > max_end) {
-                max_end = end;
-                wait_for = t;
-              }
-            } else if (cfg_.reader_join) {
-              const int other =
-                  p.waiting_for_[ts]->load(std::memory_order_acquire);
-              if (other != -1) {
-                wait_for = other;  // align our start with that reader's
-                joined = true;
-                break;
-              }
-            }
-          }
+    for (int t = 0; t < cfg_.max_threads; ++t) {
+      if (t == tid) continue;
+      const std::size_t s = static_cast<std::size_t>(t);
+      if (state_raw(p, t) == kWriter) {
+        const std::uint64_t end = p.clock_w_[s]->load(std::memory_order_relaxed);
+        if (wait_for == -1 || end > max_end) {
+          max_end = end;
+          wait_for = t;
         }
-      }
-    } else {
-      for (int t = 0; t < cfg_.max_threads; ++t) {
-        if (t == tid) continue;
-        const std::size_t s = static_cast<std::size_t>(t);
-        if (state_raw(p, t) == kWriter) {
-          const std::uint64_t end =
-              p.clock_w_[s]->load(std::memory_order_relaxed);
-          if (wait_for == -1 || end > max_end) {
-            max_end = end;
-            wait_for = t;
-          }
-        } else if (cfg_.reader_join) {
-          const int other = p.waiting_for_[s]->load(std::memory_order_acquire);
-          if (other != -1) {
-            wait_for = other;  // align our start with that reader's
-            joined = true;
-            break;
-          }
+      } else if (cfg_.reader_join) {
+        const int other = p.waiting_for_[s]->load(std::memory_order_acquire);
+        if (other != -1) {
+          wait_for = other;  // align our start with that reader's
+          joined = true;
+          break;
         }
       }
     }
@@ -1545,34 +1372,13 @@ class SpRWLock {
     if (pp == nullptr) return;
     Plane& p = *pp;
     std::uint64_t last_reader_end = 0;
-    if (cfg_.socket_batched_rsync) {
-      // Summary-first (DESIGN.md §16): one load per socket's reader count;
-      // descend into a socket's flag shard only when it hosts a reader. An
-      // idle remote socket costs 1 line read instead of cores_per_socket.
-      // The count is exact for what this scan looks for — flag-mode
-      // readers are the only things that bump it and the only things that
-      // show kReader here (SNZI-mode readers appear in neither).
-      for (int s = 0; s < sockets_; ++s) {
-        if (p.socket_count_[socket_word(s)].load() == 0) continue;
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == tid || cfg_.topology.socket_of(t) != s) continue;
-          if (state_raw(p, t) == kReader) {
-            const std::uint64_t end =
-                p.clock_r_[static_cast<std::size_t>(t)]->load(
-                    std::memory_order_relaxed);
-            if (end > last_reader_end) last_reader_end = end;
-          }
-        }
-      }
-    } else {
-      for (int t = 0; t < cfg_.max_threads; ++t) {
-        if (t == tid) continue;
-        if (state_raw(p, t) == kReader) {
-          const std::uint64_t end =
-              p.clock_r_[static_cast<std::size_t>(t)]->load(
-                  std::memory_order_relaxed);
-          if (end > last_reader_end) last_reader_end = end;
-        }
+    for (int t = 0; t < cfg_.max_threads; ++t) {
+      if (t == tid) continue;
+      if (state_raw(p, t) == kReader) {
+        const std::uint64_t end =
+            p.clock_r_[static_cast<std::size_t>(t)]->load(
+                std::memory_order_relaxed);
+        if (end > last_reader_end) last_reader_end = end;
       }
     }
     if (last_reader_end == 0) return;
@@ -1630,7 +1436,7 @@ class SpRWLock {
       // trailing writer-flag clear publishes over it.
       if (htm::Engine* e = htm::Engine::current()) e->note_section_version();
     }
-    if (tid == cfg_.sampler_tid) {
+    if (tid == Config::kSamplerTid) {
       if (Plane* pp = plane_peek()) {
         pp->write_ema_[ema_slot(cs_id)]->record(platform::now() - start);
       }
@@ -1646,9 +1452,9 @@ class SpRWLock {
     Plane* pp = plane_peek();
     if (pp == nullptr) return;
     Plane& p = *pp;
-    if (cfg_.use_snzi || cfg_.adaptive_tracking) {
+    if (cfg_.use_snzi) {
       while (p.snzi_->query()) platform::pause();
-      if (cfg_.use_snzi) return;
+      return;
     }
     // Sharded mode drains per slot too (state_raw resolves through the
     // shard layout): the socket summaries are for the *transactional*

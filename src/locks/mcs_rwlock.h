@@ -142,8 +142,10 @@ class McsRWLock {
       }
     }
     platform::advance(g_costs.cas);
-    if (reader_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
+    // seq_cst pairs with start_write's next_writer_ store / count load: a
+    // Dekker handshake, so at least one side sees the other (see there).
+    if (reader_count_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      QNode* w = next_writer_.exchange(nullptr, std::memory_order_seq_cst);
       if (w != nullptr) unblock(*w);
     }
   }
@@ -152,9 +154,13 @@ class McsRWLock {
     platform::advance(g_costs.cas);
     QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
     if (pred == nullptr) {
-      next_writer_.store(&node, std::memory_order_release);
+      // Store-then-load against end_read's decrement-then-exchange. With
+      // release/acquire the load may pass the store (x86 store buffering):
+      // this writer reads a stale count, the last reader's exchange misses
+      // next_writer_, and nobody unblocks the writer. seq_cst forbids it.
+      next_writer_.store(&node, std::memory_order_seq_cst);
       platform::advance(g_costs.cas);
-      if (reader_count_.load(std::memory_order_acquire) == 0 &&
+      if (reader_count_.load(std::memory_order_seq_cst) == 0 &&
           next_writer_.exchange(nullptr, std::memory_order_acq_rel) == &node) {
         unblock(node);
       }

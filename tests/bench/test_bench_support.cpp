@@ -77,6 +77,38 @@ TEST(Args, BothProfileMatchesEverything) {
   EXPECT_TRUE(a.want_profile("power8"));
 }
 
+TEST(Args, SmokeParsedOnlyWhereTheBenchHasOne) {
+  const char* argv[] = {"bench", "--smoke", "--seed=3"};
+  const Args a = Args::parse(3, const_cast<char**>(argv), /*has_smoke=*/true);
+  EXPECT_TRUE(a.smoke);
+  EXPECT_EQ(a.seed, 3u);
+  EXPECT_FALSE(Args::parse(1, const_cast<char**>(argv), true).smoke);
+  // A bench without a reduced sweep must not silently run its full one.
+  EXPECT_EXIT(Args::parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown option: --smoke");
+}
+
+// A mistyped flag or value must fail loudly instead of running the default
+// sweep.
+TEST(Args, BadCommandLinesExitTwo) {
+  const auto exits_2 = [](const char* flag) {
+    const char* argv[] = {"bench", flag};
+    EXPECT_EXIT(Args::parse(2, const_cast<char**>(argv), true),
+                ::testing::ExitedWithCode(2), "")
+        << flag;
+  };
+  exits_2("--smok");
+  exits_2("--fulll");
+  exits_2("full");
+  exits_2("--profile=skylake");
+  exits_2("--measure=");
+  exits_2("--measure=12k");
+  exits_2("--measure=-1");
+  exits_2("--measure=99999999999999999999999");
+  exits_2("--seed=abc");
+  exits_2("--seed= 7");
+}
+
 TEST(JsonWriter, ObjectsArraysAndScalars) {
   JsonWriter j;
   j.begin_object();

@@ -45,7 +45,7 @@ TEST(Tracer, NoTracerInstalledIsANoOp) {
 TEST(Tracer, EventNamesAreDistinct) {
   EXPECT_STREQ(to_string(Event::kReadHtmCommit), "read-htm-commit");
   EXPECT_STREQ(to_string(Event::kWriteAbortReader), "write-abort-reader");
-  EXPECT_STREQ(to_string(Event::kModeFlipToSnzi), "mode-flip-to-snzi");
+  EXPECT_STREQ(to_string(Event::kBiasRevoke), "bias-revoke");
 }
 
 TEST(Tracer, CapturesTheFig1Timeline) {

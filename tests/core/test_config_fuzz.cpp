@@ -1,6 +1,6 @@
 // Configuration fuzz: SpRWL's safety properties must hold for EVERY
-// combination of its knobs (scheduling toggles, tracking scheme, retry
-// budgets, versioned SGL, δ, thresholds) under every capacity profile.
+// combination of its knobs (scheduling toggles, tracking scheme and
+// layout, retry budgets, versioned SGL, δ) under every capacity profile.
 // Each fuzz case derives a random-but-deterministic Config from its index
 // and runs the torn-read + lost-update workload.
 #include <gtest/gtest.h>
@@ -24,19 +24,20 @@ Config fuzz_config(std::uint64_t index, int threads) {
   Config cfg;
   cfg.max_threads = threads;
   cfg.max_retries = static_cast<int>(rng.next_in(1, 20));
-  cfg.reader_htm_retries = static_cast<int>(rng.next_in(1, 10));
   cfg.reader_sync = rng.next_bool(0.7);
   cfg.reader_join = cfg.reader_sync && rng.next_bool(0.7);
   cfg.writer_sync = rng.next_bool(0.5);
   cfg.reader_htm_first = rng.next_bool(0.5);
   cfg.use_snzi = rng.next_bool(0.3);
-  cfg.adaptive_tracking = !cfg.use_snzi && rng.next_bool(0.3);
-  cfg.adaptive_threshold_cycles = rng.next_in(100, 50'000);
   cfg.versioned_sgl = rng.next_bool(0.3);
   cfg.delta_fraction = rng.next_double();
-  cfg.ema_alpha = 0.05 + rng.next_double() * 0.9;
   cfg.snzi_levels = static_cast<int>(rng.next_in(0, 4));
-  cfg.bootstrap_estimate = rng.next_in(1, 5'000);
+  // Socket-sharded tracking on a 2-socket split, crossed with every draw
+  // above (use_snzi and versioned_sgl included).
+  cfg.socket_sharded_tracking = rng.next_bool(0.5);
+  if (cfg.socket_sharded_tracking) {
+    cfg.topology = sim::Topology::split(threads, 2);
+  }
   return cfg;
 }
 
