@@ -1,28 +1,21 @@
 // Perf trajectory of the evaluation pipeline itself: times the fig3+fig4
-// point set (the core hash-map suites) under three configurations and
-// writes BENCH_perf.json —
+// point set (the core hash-map suites) twice and writes BENCH_perf.json —
 //
-//   serial_old    jobs=1, the pre-overhaul pipeline: binary priority-queue
-//                 scheduler, trampoline-only switching, fresh zeroed fiber
-//                 stacks, word-at-a-time reader scan;
-//   serial_new    jobs=1, direct fiber switching + line-batched commit
-//                 scan (the shipping defaults);
-//   parallel_new  SPRWL_BENCH_JOBS (default: hardware concurrency) pool
-//                 over the same points.
+//   serial    jobs=1, one point after another on this thread;
+//   parallel  SPRWL_BENCH_JOBS (default: hardware concurrency) pool over
+//             the same points.
 //
 // Besides the wall-clock trajectory (points/sec, context switches/sec) it
-// byte-compares the serial_new and parallel_new bench output and fails if
-// they differ — the parallel runner must not change a single byte.
-//
-// Note serial_old differs from serial_new in *scheduler and scan
-// configuration* only; both produce valid figure data (serial_old's SpRWL
-// rows charge the unbatched scan cost, so their virtual-time numbers are
-// the old pipeline's numbers, as intended for a baseline).
+// byte-compares the serial and parallel bench output and fails if they
+// differ — the parallel runner must not change a single byte. The serial
+// rows (virtual time only) also go to BENCH_perf_fig34.txt, which CI
+// compares with a committed golden (bench/golden/). The JSON records the
+// command-line arguments, the source revision and the host's core count,
+// so runs from different commits and hosts can be told apart.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/support/fig34_suites.h"
 #include "bench/support/json.h"
@@ -45,17 +38,13 @@ struct ModeResult {
   }
 };
 
-ModeResult run_mode(const char* name, int jobs, bool new_pipeline,
-                    const Args& args) {
+ModeResult run_mode(const char* name, int jobs, const Args& args) {
   ModeResult r;
   r.name = name;
   r.jobs = jobs;
-  SuiteOptions opt;
-  opt.series.sim.direct_switch = new_pipeline;
-  opt.series.sim.legacy_ready_queue = !new_pipeline;
-  opt.sprwl_batched_scan = new_pipeline;
-  opt.series.out = [&r](const std::string& s) { r.output += s; };
-  opt.series.observe = [&r](const SeriesPoint& pt) {
+  SeriesOptions opt;
+  opt.out = [&r](const std::string& s) { r.output += s; };
+  opt.observe = [&r](const SeriesPoint& pt) {
     ++r.points;
     r.switches += pt.sim_stats.switches;
     r.direct_switches += pt.sim_stats.direct_switches;
@@ -69,11 +58,35 @@ ModeResult run_mode(const char* name, int jobs, bool new_pipeline,
   }
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  std::printf("%-12s  jobs=%-3d  %8.2fs  %6.2f points/s  %11.3e switches/s\n",
+  std::printf("%-10s  jobs=%-3d  %8.2fs  %6.2f points/s  %11.3e switches/s\n",
               r.name.c_str(), r.jobs, r.wall_s, r.points_per_sec(),
               r.switches_per_sec());
   std::fflush(stdout);
   return r;
+}
+
+/// `git describe --always --dirty` of the source tree the binary was built
+/// from, or "unknown" outside a git checkout.
+std::string source_revision() {
+  std::string rev;
+  if (std::FILE* p = popen("git -C \"" SPRWL_SOURCE_DIR
+                           "\" describe --always --dirty 2>/dev/null",
+                           "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
+    pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
+bool write_text(const char* path, const std::string& text) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 int run(const Args& args) {
@@ -83,57 +96,51 @@ int run(const Args& args) {
       par_jobs);
   std::fflush(stdout);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(run_mode("serial_old", 1, false, args));
-  modes.push_back(run_mode("serial_new", 1, true, args));
-  modes.push_back(run_mode("parallel_new", par_jobs, true, args));
-
-  const ModeResult& old_m = modes[0];
-  const ModeResult& new_s = modes[1];
-  const ModeResult& new_p = modes[2];
-  const bool identical = new_s.output == new_p.output;
-  const double speedup_sched =
-      new_s.wall_s > 0 ? old_m.wall_s / new_s.wall_s : 0;
-  const double speedup_total =
-      new_p.wall_s > 0 ? old_m.wall_s / new_p.wall_s : 0;
-
-  std::printf("\nscheduler+scan speedup (serial_new vs serial_old): %.2fx\n",
-              speedup_sched);
-  std::printf("total speedup (parallel_new vs serial_old):        %.2fx\n",
-              speedup_total);
-  std::printf("serial/parallel output byte-identical:             %s\n",
+  const ModeResult serial = run_mode("serial", 1, args);
+  const ModeResult parallel = run_mode("parallel", par_jobs, args);
+  const bool identical = serial.output == parallel.output;
+  std::printf("\nserial/parallel output byte-identical: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
   JsonWriter j;
   j.begin_object();
   j.key("bench").value("perf_pipeline");
   j.key("suite").value("fig3+fig4");
-  j.key("jobs").value(par_jobs);
-  j.key("hw_concurrency")
+  j.key("args").begin_object();
+  j.key("profile").value(args.profile);
+  j.key("full").value(args.full);
+  j.key("measure").value(args.measure_cycles);
+  j.key("seed").value(args.seed);
+  j.end_object();
+  j.key("git_rev").value(source_revision());
+  j.key("host_nproc")
       .value(static_cast<int>(std::thread::hardware_concurrency()));
+  j.key("jobs").value(par_jobs);
   j.key("modes").begin_array();
-  for (const ModeResult& m : modes) {
+  for (const ModeResult* m : {&serial, &parallel}) {
     j.begin_object();
-    j.key("name").value(m.name);
-    j.key("jobs").value(m.jobs);
-    j.key("wall_seconds").value(m.wall_s);
-    j.key("points").value(m.points);
-    j.key("points_per_sec").value(m.points_per_sec());
-    j.key("switches").value(m.switches);
-    j.key("direct_switches").value(m.direct_switches);
-    j.key("switches_per_sec").value(m.switches_per_sec());
+    j.key("name").value(m->name);
+    j.key("jobs").value(m->jobs);
+    j.key("wall_seconds").value(m->wall_s);
+    j.key("points").value(m->points);
+    j.key("points_per_sec").value(m->points_per_sec());
+    j.key("switches").value(m->switches);
+    j.key("direct_switches").value(m->direct_switches);
+    j.key("switches_per_sec").value(m->switches_per_sec());
     j.end_object();
   }
   j.end_array();
-  j.key("speedup_serial_new_vs_serial_old").value(speedup_sched);
-  j.key("speedup_parallel_new_vs_serial_old").value(speedup_total);
   j.key("outputs_identical").value(identical);
   j.end_object();
   if (!j.write_file("BENCH_perf.json")) {
     std::fprintf(stderr, "failed to write BENCH_perf.json\n");
     return 2;
   }
-  std::printf("wrote BENCH_perf.json\n");
+  if (!write_text("BENCH_perf_fig34.txt", serial.output)) {
+    std::fprintf(stderr, "failed to write BENCH_perf_fig34.txt\n");
+    return 2;
+  }
+  std::printf("wrote BENCH_perf.json and BENCH_perf_fig34.txt\n");
   return identical ? 0 : 1;
 }
 

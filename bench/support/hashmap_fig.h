@@ -83,9 +83,6 @@ struct SeriesPoint {
 };
 
 struct SeriesOptions {
-  /// Simulator configuration for every point (perf_pipeline flips
-  /// direct_switch off here to time the classic scheduler).
-  sim::SimConfig sim{};
   /// Row sink; default prints to stdout. Runs at emit time, in order.
   std::function<void(const std::string&)> out;
   /// Per-point hook after the row is emitted (aggregation, JSON).
@@ -105,7 +102,7 @@ void hashmap_series(Runner& runner, const char* lock_name, const Machine& m,
     point->lock = lock_name;
     point->threads = n;
     runner.submit(
-        [point, m, p, n, make_lock, sim_cfg = opt.sim] {
+        [point, m, p, n, make_lock] {
           htm::EngineConfig ec;
           ec.capacity = m.capacity_at(n);
           ec.max_threads = n;
@@ -121,7 +118,7 @@ void hashmap_series(Runner& runner, const char* lock_name, const Machine& m,
           dc.warmup_cycles = p.warmup_cycles;
           dc.measure_cycles = p.measure_cycles;
           dc.seed = p.seed;
-          sim::Simulator sim(sim_cfg);
+          sim::Simulator sim;
           point->run = run_hashmap(sim, engine, *lock, map, dc);
           point->sim_stats = sim.stats();
           point->final_time = sim.final_time();

@@ -117,6 +117,7 @@ void Engine::begin_attempt(Descriptor& d, bool rot) {
   d.rv = gvc_.load(std::memory_order_acquire);
   d.reads.clear();
   d.read_lines.clear();
+  d.memo_read = kNoRead;
   d.writes.clear();
   d.write_words.clear();
   d.write_lines.clear();
@@ -231,23 +232,36 @@ std::uint64_t Engine::tx_read(const std::atomic<std::uint64_t>& cell) {
   }
   if (d.is_rot) return cell.load(std::memory_order_acquire);
 
-  const std::uint32_t line = line_of(addr);
-  if (track_owners_) charge_coherence(line);
-  bool inserted = false;
-  std::uint32_t& slot = d.read_lines.get_or_insert(
-      line, static_cast<std::uint32_t>(d.reads.size()), inserted);
-  if (!inserted) {
-    // Line already in the read set: it must still hold the version we
-    // recorded, otherwise our snapshot is broken.
-    const std::uint64_t recorded = d.reads[slot].version;
-    const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
-    if (v1 != recorded) abort_internal(AbortCause::kConflict);
-    const std::uint64_t val = cell.load(std::memory_order_acquire);
-    if (table_[line].load(std::memory_order_acquire) != recorded)
-      abort_internal(AbortCause::kConflict);
-    return val;
+  // The memo resolves a repeat read of the previous line without line_of
+  // and, once the line is in this attempt's read set, without the EpochMap.
+  const std::uint64_t line_no = addr >> 6;
+  if (line_no != d.memo_line) {
+    d.memo_line = line_no;
+    d.memo_id = line_of(addr);
+    d.memo_read = kNoRead;
   }
+  const std::uint32_t line = d.memo_id;
+  if (track_owners_) charge_coherence(line);
+  if (d.memo_read == kNoRead) {
+    bool inserted = false;
+    const std::uint32_t slot = d.read_lines.get_or_insert(
+        line, static_cast<std::uint32_t>(d.reads.size()), inserted);
+    if (inserted) return tx_read_new_line(d, line, cell);
+    d.memo_read = slot;
+  }
+  // Line already in the read set: it must still hold the version we
+  // recorded, otherwise our snapshot is broken.
+  const std::uint64_t recorded = d.reads[d.memo_read].version;
+  const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
+  if (v1 != recorded) abort_internal(AbortCause::kConflict);
+  const std::uint64_t val = cell.load(std::memory_order_acquire);
+  if (table_[line].load(std::memory_order_acquire) != recorded)
+    abort_internal(AbortCause::kConflict);
+  return val;
+}
 
+std::uint64_t Engine::tx_read_new_line(Descriptor& d, std::uint32_t line,
+                                       const std::atomic<std::uint64_t>& cell) {
   if (d.reads.size() + 1 > d.cap_read_lines.load(std::memory_order_relaxed))
     abort_internal(AbortCause::kCapacity);
 
@@ -261,6 +275,7 @@ std::uint64_t Engine::tx_read(const std::atomic<std::uint64_t>& cell) {
     const std::uint64_t v2 = table_[line].load(std::memory_order_acquire);
     if (v1 != v2) continue;
     if (v1 > d.rv) extend(d);  // throws AbortException on failure
+    d.memo_read = static_cast<std::uint32_t>(d.reads.size());
     d.reads.push_back(ReadEntry{line, v1});
     return val;
   }

@@ -313,12 +313,20 @@ class Engine {
     std::uint64_t value;
   };
 
+  static constexpr std::uint32_t kNoRead = ~std::uint32_t{0};
+
   struct Descriptor {
     int depth = 0;
     bool is_rot = false;
     std::uint64_t rv = 0;  // read-validity timestamp (TL2 "read version")
     std::vector<ReadEntry> reads;
     EpochMap<std::uint32_t> read_lines;   // line -> index into reads
+    // Last line tx_read resolved: line number (addr >> 6) -> dense id,
+    // valid across attempts, plus its index into reads in this attempt
+    // (kNoRead until the line is in the read set; begin_attempt resets it).
+    std::uint64_t memo_line = ~std::uint64_t{0};
+    std::uint32_t memo_id = 0;
+    std::uint32_t memo_read = kNoRead;
     std::vector<WriteEntry> writes;
     EpochMap<std::uint64_t> write_words;  // cell address -> index into writes
     EpochMap<std::uint32_t> write_lines;  // distinct written lines (capacity)
@@ -420,9 +428,19 @@ class Engine {
   /// the id map itself fills up, later lines deterministically-insertion-
   /// ordered no more and fall back to the address hash (never hit by the
   /// shipped workloads; the map holds line_id_limit_ lines).
+  ///
+  /// The map's home slot hashes the 4 KiB page and keeps the line's offset
+  /// within it, so the 64 lines of a page share one run of 64 slots and a
+  /// data structure's lookups stay in a few hundred KiB of the map instead
+  /// of one cache miss per line. The slot only decides where the map
+  /// stores an id, never which id a line gets. tx_read memoizes the last
+  /// line it resolved per thread (Descriptor::memo_line), so a read of the
+  /// line just read skips this lookup altogether.
   std::uint32_t line_of(std::uintptr_t addr) noexcept {
     const std::uint64_t key = (addr >> 6) + 1;  // +1: 0 marks an empty slot
-    std::size_t s = static_cast<std::size_t>(detail::mix64(key)) & id_mask_;
+    std::size_t s = static_cast<std::size_t>((detail::mix64(addr >> 12) << 6) |
+                                             ((addr >> 6) & 63)) &
+                    id_mask_;
     for (;;) {
       const std::uint64_t k = line_keys_[s].load(std::memory_order_acquire);
       if (k == key) {
@@ -491,6 +509,10 @@ class Engine {
     if (extra > 0) platform::advance(extra);
   }
 
+  /// tx_read of a line not yet in the read set: capacity check, then a
+  /// stable (version, value) pair recorded as a new read entry.
+  std::uint64_t tx_read_new_line(Descriptor& d, std::uint32_t line,
+                                 const std::atomic<std::uint64_t>& cell);
   void begin_attempt(Descriptor& d, bool rot);
   void commit_attempt(Descriptor& d);  // throws AbortException on conflict
   void commit_publish_perline(Descriptor& d);

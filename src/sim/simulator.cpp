@@ -1,10 +1,10 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <cxxabi.h>
 #include <exception>
-#include <queue>
 #include <thread>
 
 #include "common/costs.h"
@@ -197,75 +197,41 @@ Simulator::~Simulator() {
 #endif
 }
 
-// --- indexed 4-ary min-heap -------------------------------------------------
+// --- sorted ready ring -----------------------------------------------------
 //
-// Flat array of (time, id) ordered by less_than; heap_pos_[id] = slot + 1.
-// 4-ary: children of slot i are 4i+1..4i+4 — half the tree height of a
-// binary heap and the four children share one cache line, so a sift-down
-// touches fewer lines than std::priority_queue's binary layout.
+// Keys are unique (the id is in the low bits), so the order is strict.
+// Scanning and shifting from the nearer end costs min(p, n - p) moves for
+// an insert at rank p; the comparison with the middle key picks the end.
 
-void Simulator::heap_push(Entry e) {
+void Simulator::ready_push(Entry e) {
   ++stats_.heap_pushes;
-  heap_.push_back(e);
-  heap_sift_up(heap_.size() - 1);
-}
-
-Simulator::Entry Simulator::heap_pop() {
-  ++stats_.heap_pops;
-  const Entry top = heap_.front();
-  heap_pos_[static_cast<std::size_t>(top.id())] = 0;
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = last;
-    heap_pos_[static_cast<std::size_t>(last.id())] = 1;
-    heap_sift_down(0);
-  }
-  return top;
-}
-
-Simulator::Entry Simulator::heap_replace_top(Entry e) {
-  ++stats_.heap_pushes;
-  ++stats_.heap_pops;
-  const Entry top = heap_.front();
-  heap_pos_[static_cast<std::size_t>(top.id())] = 0;
-  heap_.front() = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = 1;
-  heap_sift_down(0);
-  return top;
-}
-
-void Simulator::heap_sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!e.less_than(heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    heap_pos_[static_cast<std::size_t>(heap_[i].id())] = static_cast<std::uint32_t>(i + 1);
-    i = parent;
-  }
-  heap_[i] = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = static_cast<std::uint32_t>(i + 1);
-}
-
-void Simulator::heap_sift_down(std::size_t i) {
-  const Entry e = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (heap_[c].less_than(heap_[best])) best = c;
+  const std::size_t n = ready_size_++;
+  std::size_t i = n;
+  if (n == 0 || e.key > ready_at(n / 2).key) {
+    // Back half: shift the larger keys one slot toward the tail.
+    while (i > 0 && ready_at(i - 1).key > e.key) {
+      ready_at(i) = ready_at(i - 1);
+      --i;
     }
-    if (!heap_[best].less_than(e)) break;
-    heap_[i] = heap_[best];
-    heap_pos_[static_cast<std::size_t>(heap_[i].id())] = static_cast<std::uint32_t>(i + 1);
-    i = best;
+  } else {
+    // Front half: claim the slot before the head and shift the smaller
+    // keys into it. The old middle key is larger, so the scan stops there.
+    ready_head_ = (ready_head_ - 1) & ring_mask_;
+    i = 0;
+    while (ready_at(i + 1).key < e.key) {
+      ready_at(i) = ready_at(i + 1);
+      ++i;
+    }
   }
-  heap_[i] = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = static_cast<std::uint32_t>(i + 1);
+  ready_at(i) = e;
+}
+
+Simulator::Entry Simulator::ready_pop() {
+  ++stats_.heap_pops;
+  const Entry top = ring_[ready_head_];
+  ready_head_ = (ready_head_ + 1) & ring_mask_;
+  --ready_size_;
+  return top;
 }
 
 // --- context switching ------------------------------------------------------
@@ -407,18 +373,19 @@ void Simulator::prepare_fiber(Fiber& f) {
 
 #endif
 
-// Fiber→fiber handoff: the yielding fiber f re-queues itself, takes the
-// heap minimum m and switches straight to m's stack — the scheduler stack
-// is not touched, halving the context switches of a yield. Schedule
+// Fiber→fiber handoff: the yielding fiber f takes the ready minimum m,
+// re-queues itself and switches straight to m's stack — the scheduler
+// stack is not touched, halving the context switches of a yield. Schedule
 // equivalence with the trampoline: f yields only because f.time >
-// next_wake_ (the heap minimum's time), so push-self-then-extract-min
-// selects exactly the entry the trampoline's pop would have returned (and
-// never f itself — strict inequality). The push+pop pair is fused into one
-// heap_replace_top: identical result, one sift instead of three.
+// next_wake_ (the minimum's time), so pop-then-insert-self selects exactly
+// the entry the trampoline's pop would have returned (and never f itself —
+// strict inequality). Popping first frees the slot before the head, where
+// f's key usually belongs.
 void Simulator::direct_switch_from(Fiber& f) {
-  const Entry e = heap_replace_top(Entry::make(f.time, f.id));
+  const Entry e = ready_pop();
+  ready_push(Entry::make(f.time, f.id));
   Fiber& m = *fibers_[static_cast<std::size_t>(e.id())];
-  next_wake_ = heap_top().time();  // non-empty: f itself is queued
+  next_wake_ = ready_front().time();  // non-empty: f itself is queued
   running_ = &m;
   platform::set_context(&m.exec_ctx);
   ++stats_.switches;
@@ -463,12 +430,9 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
     throw std::invalid_argument("Simulator: more than 1024 fibers");
   if (cfg_.max_virtual_time >= (1ULL << (64 - Entry::kIdBits)))
     throw std::invalid_argument("Simulator: max_virtual_time >= 2^54");
-  if (cfg_.policy != nullptr && cfg_.legacy_ready_queue)
-    throw std::invalid_argument(
-        "Simulator: controlled mode is incompatible with legacy_ready_queue");
   body_ = &body;
   controlled_ = cfg_.policy != nullptr;
-  direct_switch_ = cfg_.direct_switch && !cfg_.legacy_ready_queue && !controlled_;
+  direct_switch_ = cfg_.direct_switch && !controlled_;
   // Defensive per-run reset: results always describe this run, whatever
   // state a previous run (or an exception unwinding out of one) left.
   preemptions_ = 0;
@@ -480,9 +444,10 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
   progress_ = 0;
   trace_.clear();
   obj_table_.clear();
-  heap_.clear();
-  heap_pos_.assign(static_cast<std::size_t>(nthreads), 0);
-  heap_.reserve(static_cast<std::size_t>(nthreads));
+  ring_.resize(std::bit_ceil(static_cast<std::size_t>(nthreads)));
+  ring_mask_ = ring_.size() - 1;
+  ready_head_ = 0;
+  ready_size_ = 0;
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(nthreads));
 
@@ -491,23 +456,17 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
     f->id = i;
     f->jitter = static_cast<std::uint32_t>(i) * 2654435761u + 1u;
     f->sim = this;
-    // Legacy mode reproduces the original allocation behavior: a fresh
-    // zero-initialized stack per fiber per run, nothing pooled.
-    f->stack = cfg_.legacy_ready_queue
-                   ? std::make_unique<char[]>(cfg_.stack_bytes)
-                   : acquire_stack(cfg_.stack_bytes);
+    f->stack = acquire_stack(cfg_.stack_bytes);
     f->exec_ctx.sim = this;
     f->exec_ctx.fiber = f.get();
     f->exec_ctx.enable_sched_points(controlled_);
     f->pending = PendingOp{i, SchedKind::kStart, 0};
     prepare_fiber(*f);
-    if (!cfg_.legacy_ready_queue && !controlled_) heap_push(Entry::make(0, i));
+    if (!controlled_) ready_push(Entry::make(0, i));
     fibers_.push_back(std::move(f));
   }
 
-  if (cfg_.legacy_ready_queue) {
-    schedule_loop_legacy();
-  } else if (controlled_) {
+  if (controlled_) {
     schedule_loop_controlled();
   } else {
     schedule_loop();
@@ -521,9 +480,7 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
       first_error = f->error;
       first_error_time = f->time;
     }
-    if (!cfg_.legacy_ready_queue) {
-      release_stack(cfg_.stack_bytes, std::move(f->stack));
-    }
+    release_stack(cfg_.stack_bytes, std::move(f->stack));
   }
   fibers_.clear();
   body_ = nullptr;
@@ -531,10 +488,10 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
 }
 
 void Simulator::schedule_loop() {
-  while (!heap_empty()) {
-    const Entry e = heap_pop();
+  while (!ready_empty()) {
+    const Entry e = ready_pop();
     Fiber& f = *fibers_[static_cast<std::size_t>(e.id())];
-    next_wake_ = heap_empty() ? ~0ULL : heap_top().time();
+    next_wake_ = ready_empty() ? ~0ULL : ready_front().time();
     platform::set_context(&f.exec_ctx);
     running_ = &f;
     ++stats_.switches;
@@ -546,56 +503,15 @@ void Simulator::schedule_loop() {
     Fiber& ran = *running_;
     running_ = nullptr;
     platform::set_context(nullptr);
-    if (!ran.done) heap_push(Entry::make(ran.time, ran.id));
+    if (!ran.done) ready_push(Entry::make(ran.time, ran.id));
     // If a fiber errored out, the remaining ones either finish or hit the
     // virtual-time limit deterministically; run() reports the earliest error.
   }
 }
 
-// The pre-overhaul scheduler, preserved verbatim in behavior as the
-// measurable wall-clock baseline (SimConfig::legacy_ready_queue): binary
-// std::priority_queue ready set, every activation through the trampoline.
-// It produces the exact same schedule as schedule_loop + direct switching,
-// just slower — perf_pipeline quantifies by how much.
-void Simulator::schedule_loop_legacy() {
-  // The original two-field entry with a field-wise comparator, not the
-  // packed key the new heap uses — the baseline must not inherit the
-  // overhaul's representation wins.
-  struct LegacyEntry {
-    std::uint64_t time;
-    int id;
-    bool operator>(const LegacyEntry& o) const noexcept {
-      return time != o.time ? time > o.time : id > o.id;
-    }
-  };
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>,
-                      std::greater<LegacyEntry>>
-      ready;
-  for (auto& f : fibers_) ready.push(LegacyEntry{f->time, f->id});
-  stats_.heap_pushes += fibers_.size();
-  while (!ready.empty()) {
-    const LegacyEntry e = ready.top();
-    ready.pop();
-    ++stats_.heap_pops;
-    Fiber& f = *fibers_[static_cast<std::size_t>(e.id)];
-    next_wake_ = ready.empty() ? ~0ULL : ready.top().time;
-    platform::set_context(&f.exec_ctx);
-    running_ = &f;
-    ++stats_.switches;
-    switch_to_fiber(f);
-    Fiber& ran = *running_;
-    running_ = nullptr;
-    platform::set_context(nullptr);
-    if (!ran.done) {
-      ready.push(LegacyEntry{ran.time, ran.id});
-      ++stats_.heap_pushes;
-    }
-  }
-}
-
 // --- controlled-scheduler mode ---------------------------------------------
 //
-// The ready heap is unused: every live fiber is "parked" at its last
+// The ready ring is unused: every live fiber is "parked" at its last
 // decision point (pause / timed wait / fault::checkpoint / sched_point)
 // and the policy picks which one to resume. next_wake_ is pinned to ~0 so
 // virtual time never forces a yield — parking is explicit and exhaustive,

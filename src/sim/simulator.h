@@ -30,23 +30,24 @@
 // Scheduler hot path (this is the inner loop of every benchmark, so its
 // wall-clock cost gates the whole evaluation pipeline):
 //
-//  * the ready set is an indexed 4-ary min-heap of (time, id) — flatter
-//    than a binary heap (half the levels for the same fiber count, and the
-//    four children of a node share a cache line), with a fiber-id → slot
-//    index maintained alongside for O(1) membership;
-//  * when a yielding fiber already knows the next runnable fiber (the heap
-//    minimum), it switches to it *directly* instead of bouncing through the
+//  * the ready set is a sorted ring of packed (time << 10 | id) keys: the
+//    head is the minimum, so a pop is one load and a head bump. A yielding
+//    fiber is inserted by shifting keys toward whichever end of the ring is
+//    nearer its position. It usually lands near the front (its clock only
+//    just passed the minimum), and the pop that preceded the insert freed
+//    the slot before the head, so that insert costs O(1) as well;
+//  * when a yielding fiber already knows the next runnable fiber (the ring
+//    head), it switches to it *directly* instead of bouncing through the
 //    scheduler stack — one context switch per handoff instead of two, which
 //    halves switches on ping-pong workloads (SimConfig::direct_switch;
-//    disable to get the classic trampoline, kept as the measurable
-//    baseline for bench/perf_pipeline). The schedule is identical either
-//    way: a fiber yields only when its clock passed the heap minimum, so
-//    push-self-then-pop-min selects exactly the fiber the trampoline's
-//    pop would have selected;
+//    disable to get the classic trampoline). The schedule is identical
+//    either way: a fiber yields only when its clock passed the ring
+//    minimum, so pop-min-then-insert-self selects exactly the fiber the
+//    trampoline's pop would have selected;
 //  * fiber stacks are recycled through a thread-local pool instead of being
 //    freshly allocated (and zeroed) for every run() — a 56-fiber run reuses
 //    ~14 MB of stacks that would otherwise be re-touched per data point;
-//  * SimStats counts switches, direct switches and heap traffic so the
+//  * SimStats counts switches, direct switches and ready-set traffic so the
 //    perf trajectory (BENCH_perf.json) can report switches/sec.
 //
 // Context switching uses a ~20ns hand-rolled x86-64 switch (glibc
@@ -76,19 +77,13 @@ struct SimConfig {
   std::uint64_t max_virtual_time = 20ULL * 1000 * 1000 * 1000;
   /// Fiber→fiber handoff without the scheduler trampoline (see the header
   /// comment). Schedules are bit-identical with it on or off; off costs one
-  /// extra context switch per yield and exists as the measurable baseline.
+  /// extra context switch per yield and is the reference the scheduler
+  /// tests compare direct switching against.
   bool direct_switch = true;
-  /// Faithful reproduction of the original scheduler for perf baselines
-  /// (bench/perf_pipeline's "serial_old" mode): ready set in a binary
-  /// std::priority_queue, a fresh zero-initialized stack per fiber per
-  /// run() (no pooling), always through the trampoline (direct_switch is
-  /// ignored). The schedule — and therefore every virtual-time result — is
-  /// bit-identical to the default scheduler; only wall-clock cost differs.
-  bool legacy_ready_queue = false;
   /// Controlled-scheduler mode (systematic testing, src/check/): when set,
   /// virtual-time order no longer drives scheduling. Every pause, timed
   /// wait and fault::checkpoint() parks the fiber, and the policy chooses
-  /// which parked fiber runs next. Incompatible with legacy_ready_queue.
+  /// which parked fiber runs next.
   SchedulePolicy* policy = nullptr;
   /// Controlled mode: hard cap on decisions per run — a second livelock
   /// backstop (the primary one is no_progress_bound) and the bound that
@@ -121,12 +116,14 @@ struct SimConfig {
   }
 };
 
-/// Cheap per-run scheduler counters (reset at every run() entry).
+/// Cheap per-run scheduler counters (reset at every run() entry). The
+/// ready-set counters keep their heap_* names: perfbench reports their sum
+/// as sim.heap_ops.
 struct SimStats {
   std::uint64_t switches = 0;         ///< activations: control entered a fiber
   std::uint64_t direct_switches = 0;  ///< activations done fiber→fiber
-  std::uint64_t heap_pushes = 0;
-  std::uint64_t heap_pops = 0;
+  std::uint64_t heap_pushes = 0;      ///< ready-set inserts
+  std::uint64_t heap_pops = 0;        ///< ready-set removals (the minimum)
 };
 
 class SimTimeLimitError : public std::runtime_error {
@@ -210,10 +207,10 @@ class Simulator {
   struct FiberContext;
 
   // Ready-set key, packed as (time << kIdBits) | id so the scheduling
-  // order (time, then id) is a single integer compare and four heap
-  // children fit in half a cache line. Capacity bounds enforced at run()
-  // entry: at most 2^kIdBits fibers, virtual times below 2^(64 - kIdBits)
-  // (the default 20e9-cycle limit is ~2^20 below that ceiling).
+  // order (time, then id) is a single integer compare. Capacity bounds
+  // enforced at run() entry: at most 2^kIdBits fibers, virtual times below
+  // 2^(64 - kIdBits) (the default 20e9-cycle limit is ~2^20 below that
+  // ceiling).
   struct Entry {
     std::uint64_t key;
     static constexpr int kIdBits = 10;
@@ -224,11 +221,9 @@ class Simulator {
     int id() const noexcept {
       return static_cast<int>(key & ((1u << kIdBits) - 1));
     }
-    bool less_than(const Entry& o) const noexcept { return key < o.key; }
   };
 
   void schedule_loop();
-  void schedule_loop_legacy();
   void schedule_loop_controlled();
   /// Parks the running fiber at a decision point (controlled mode only).
   void controlled_point(SchedKind kind, std::uintptr_t obj);
@@ -247,25 +242,23 @@ class Simulator {
   void switch_to_fiber(Fiber& f);
   void prepare_fiber(Fiber& f);
 
-  // Indexed 4-ary min-heap over (time, id); heap_pos_[id] is slot+1 (0 =
-  // not queued). See the header comment for why not std::priority_queue.
-  bool heap_empty() const noexcept { return heap_.empty(); }
-  const Entry& heap_top() const noexcept { return heap_.front(); }
-  void heap_push(Entry e);
-  Entry heap_pop();
-  /// Pops the minimum and inserts `e` in one sift (classic heap replace).
-  /// The direct-switch path uses it with e = the yielding fiber, whose time
-  /// only just passed the old minimum — the sift usually exits after one
-  /// level, where pop-then-push would sink the array tail down the whole
-  /// tree and then bubble `e` up again.
-  Entry heap_replace_top(Entry e);
-  void heap_sift_up(std::size_t i);
-  void heap_sift_down(std::size_t i);
+  // Ready set: the queued fibers' keys in ascending order, held in the
+  // power-of-two ring ring_ from slot ready_head_ on (see the header
+  // comment). Every fiber is queued at most once, so nthreads slots do.
+  bool ready_empty() const noexcept { return ready_size_ == 0; }
+  Entry ready_front() const noexcept { return ring_[ready_head_]; }
+  Entry& ready_at(std::size_t i) noexcept {
+    return ring_[(ready_head_ + i) & ring_mask_];
+  }
+  void ready_push(Entry e);
+  Entry ready_pop();
 
   SimConfig cfg_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::vector<Entry> heap_;
-  std::vector<std::uint32_t> heap_pos_;
+  std::vector<Entry> ring_;
+  std::size_t ring_mask_ = 0;
+  std::size_t ready_head_ = 0;
+  std::size_t ready_size_ = 0;
   const std::function<void(int)>* body_ = nullptr;
   void* sched_rsp_ = nullptr;  // x86-64 fast path save slot
   void* main_ctx_ = nullptr;   // ucontext fallback

@@ -111,7 +111,7 @@ class LockTable {
   }
 
   std::uint64_t keys() const noexcept { return cfg_.keys; }
-  core::SpRWLock& lock_of(std::uint64_t key) { return locks_[key]; }
+  core::SpRWLock& lock_of(std::uint64_t key) { return locks_[key].lock; }
 
   /// Zipfian ranks are ordered by popularity, which without scrambling
   /// would make keys 0..k the hot set — consecutive, same-leaf, same
@@ -170,7 +170,7 @@ class LockTable {
   }
 
   void reset_stats() {
-    for (auto& l : locks_) l.reset_stats();
+    for (auto& slot : locks_) slot.lock.reset_stats();
   }
 
   /// Whole-table accounting, summed over every lock. The scan is uncharged
@@ -179,8 +179,9 @@ class LockTable {
   struct Totals {
     std::uint64_t locks = 0;
     std::uint64_t locks_with_plane = 0;
-    /// Per-lock bytes: shells plus every allocated plane. The shared bravo
-    /// table is reported separately (it amortizes across all locks).
+    /// Per-lock bytes: line-padded shells plus every allocated plane. The
+    /// shared bravo table is reported separately (it amortizes across all
+    /// locks).
     std::size_t lock_bytes = 0;
     std::size_t shared_table_bytes = 0;
     std::uint64_t bias_reads = 0;
@@ -204,9 +205,10 @@ class LockTable {
   Totals totals() const {
     Totals t;
     t.locks = cfg_.keys;
-    for (const auto& l : locks_) {
+    for (const auto& slot : locks_) {
+      const core::SpRWLock& l = slot.lock;
       if (l.has_plane()) ++t.locks_with_plane;
-      t.lock_bytes += l.footprint_bytes();
+      t.lock_bytes += l.footprint_bytes() + kSlotPadding;
       t.bias_reads += l.bias_read_count();
       t.revocations += l.revocation_count();
       t.revoke_cycles += l.revocation_cycles();
@@ -221,8 +223,8 @@ class LockTable {
   /// Commit-mode/abort breakdown aggregated over every lock.
   locks::LockStats stats() const {
     locks::LockStats s;
-    for (const auto& l : locks_) {
-      const locks::LockStats one = l.stats();
+    for (const auto& slot : locks_) {
+      const locks::LockStats one = slot.lock.stats();
       s.reads += one.reads;
       s.writes += one.writes;
       s.aborts += one.aborts;
@@ -233,7 +235,7 @@ class LockTable {
 
   std::uint64_t reader_aborts() const {
     std::uint64_t n = 0;
-    for (const auto& l : locks_) n += l.reader_abort_count();
+    for (const auto& slot : locks_) n += slot.lock.reader_abort_count();
     return n;
   }
 
@@ -257,11 +259,23 @@ class LockTable {
     return (k / kKeysPerLeaf) * 8 + (k % kKeysPerLeaf) * 2;
   }
 
+  /// One lock per 64-byte-aligned slot, so no two locks share a cache line
+  /// and each shell sits at the same offset within its lines whatever the
+  /// heap history. Under owner tracking a line shared by two shells would
+  /// charge coherence transfers between unrelated locks, and which shells
+  /// shared one would depend on where the allocator put the deque blocks.
+  struct alignas(64) LockSlot {
+    explicit LockSlot(const core::Config& c) : lock(c) {}
+    core::SpRWLock lock;
+  };
+  static constexpr std::size_t kSlotPadding =
+      sizeof(LockSlot) - sizeof(core::SpRWLock);
+
   Config cfg_;
   aligned_vector<htm::Shared<std::uint64_t>> words_;
   /// deque: SpRWLock is neither copyable nor movable, and a deque grows
-  /// without relocating elements.
-  std::deque<core::SpRWLock> locks_;
+  /// without relocating elements. Its blocks honour LockSlot's alignment.
+  std::deque<LockSlot> locks_;
   /// Leaf-scan sink so the extra loads cannot be optimized away; raw-stored
   /// (uncharged — the loads are the modelled work, the sink is bookkeeping).
   mutable htm::Shared<std::uint64_t> sink_;

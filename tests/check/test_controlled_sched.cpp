@@ -147,14 +147,5 @@ TEST(ControlledSched, CancelledRunsUnwindCleanlyAndAreSkipped) {
   EXPECT_EQ(evaluate(clean).kind, Verdict::kOk);
 }
 
-TEST(ControlledSched, LegacyAndControlledModesAreMutuallyExclusive) {
-  sim::SimConfig cfg;
-  cfg.legacy_ready_queue = true;
-  ReplayPolicy p({});
-  cfg.policy = &p;
-  sim::Simulator sim(cfg);
-  EXPECT_THROW(sim.run(2, [](int) {}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sprwl::check

@@ -1,8 +1,7 @@
-// Equivalence and invariants across the three scheduler configurations:
-// direct switching (default), trampoline (direct_switch = false) and the
-// legacy priority-queue baseline (legacy_ready_queue = true). All three
-// must produce the *same schedule* — perf_pipeline's speedup claims depend
-// on the modes being interchangeable in everything but wall-clock cost.
+// Equivalence and invariants across the two scheduler configurations:
+// direct switching (default) and the trampoline (direct_switch = false).
+// Both must produce the *same schedule* — the modes are interchangeable in
+// everything but wall-clock cost.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -35,24 +34,19 @@ ModeRun run_mode(SimConfig cfg, int nfibers, int steps) {
   return r;
 }
 
-TEST(SchedulerModes, IdenticalScheduleAcrossAllThreeModes) {
+TEST(SchedulerModes, IdenticalScheduleDirectAndTrampoline) {
   constexpr int kFibers = 9;
   constexpr int kSteps = 200;
   SimConfig direct;
   direct.direct_switch = true;
   SimConfig trampoline;
   trampoline.direct_switch = false;
-  SimConfig legacy;
-  legacy.legacy_ready_queue = true;
 
   const ModeRun a = run_mode(direct, kFibers, kSteps);
   const ModeRun b = run_mode(trampoline, kFibers, kSteps);
-  const ModeRun c = run_mode(legacy, kFibers, kSteps);
 
   EXPECT_EQ(a.order, b.order);
-  EXPECT_EQ(a.order, c.order);
   EXPECT_EQ(a.final_time, b.final_time);
-  EXPECT_EQ(a.final_time, c.final_time);
 }
 
 TEST(SchedulerModes, SwitchCountInvariants) {
@@ -62,17 +56,13 @@ TEST(SchedulerModes, SwitchCountInvariants) {
   direct.direct_switch = true;
   SimConfig trampoline;
   trampoline.direct_switch = false;
-  SimConfig legacy;
-  legacy.legacy_ready_queue = true;
 
   const ModeRun a = run_mode(direct, kFibers, kSteps);
   const ModeRun b = run_mode(trampoline, kFibers, kSteps);
-  const ModeRun c = run_mode(legacy, kFibers, kSteps);
 
   // Total activations are a property of the schedule, not the switch
-  // mechanism, so all modes agree.
+  // mechanism, so both modes agree.
   EXPECT_EQ(a.stats.switches, b.stats.switches);
-  EXPECT_EQ(a.stats.switches, c.stats.switches);
   EXPECT_GT(a.stats.switches, static_cast<std::uint64_t>(kFibers));
 
   // Under direct switching the scheduler stack is entered exactly once per
@@ -80,9 +70,8 @@ TEST(SchedulerModes, SwitchCountInvariants) {
   EXPECT_EQ(a.stats.direct_switches,
             a.stats.switches - static_cast<std::uint64_t>(kFibers));
 
-  // The trampoline modes never switch fiber→fiber.
+  // The trampoline never switches fiber→fiber.
   EXPECT_EQ(b.stats.direct_switches, 0u);
-  EXPECT_EQ(c.stats.direct_switches, 0u);
 }
 
 TEST(SchedulerModes, DirectSwitchHeapTrafficMatchesActivations) {
@@ -90,7 +79,7 @@ TEST(SchedulerModes, DirectSwitchHeapTrafficMatchesActivations) {
   SimConfig direct;
   direct.direct_switch = true;
   const ModeRun a = run_mode(direct, kFibers, 100);
-  // Every push has a matching pop: the heap drains completely.
+  // Every push has a matching pop: the ready set drains completely.
   EXPECT_EQ(a.stats.heap_pushes, a.stats.heap_pops);
 }
 
@@ -109,14 +98,15 @@ TEST(SchedulerModes, NoProgressBoundAutoDerivesFromThreadCount) {
   EXPECT_EQ(sc.resolved_no_progress_bound(64), 7);
 }
 
-TEST(SchedulerModes, LegacyModeStatsResetBetweenRuns) {
-  SimConfig legacy;
-  legacy.legacy_ready_queue = true;
-  Simulator sim(legacy);
+TEST(SchedulerModes, StatsResetBetweenRuns) {
+  Simulator sim;
   sim.run(4, [](int) { platform::advance(10); });
-  const std::uint64_t first = sim.stats().switches;
+  const SimStats first = sim.stats();
   sim.run(4, [](int) { platform::advance(10); });
-  EXPECT_EQ(sim.stats().switches, first);  // reset, not accumulated
+  // Reset, not accumulated.
+  EXPECT_EQ(sim.stats().switches, first.switches);
+  EXPECT_EQ(sim.stats().heap_pushes, first.heap_pushes);
+  EXPECT_EQ(sim.stats().heap_pops, first.heap_pops);
 }
 
 }  // namespace

@@ -98,6 +98,26 @@ TEST(LockTable, KeyScrambleIsABijection) {
             table.key_of_rank(1) / LockTable::kKeysPerLeaf);
 }
 
+// Every lock starts a cache line and no two locks share one, so which
+// shell words share a line cannot depend on where the allocator put the
+// table (under owner tracking that would move 2-socket results).
+TEST(LockTable, EachLockOwnsWholeCacheLines) {
+  LockTable::Config c;
+  c.keys = 1 << 10;
+  c.lock = flat_lock_cfg(2);
+  const auto odd = std::make_unique<char[]>(24);  // perturb the heap
+  LockTable table(c);
+  for (std::uint64_t k = 0; k < c.keys; ++k) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(&table.lock_of(k));
+    ASSERT_EQ(addr % 64, 0u) << "key " << k;
+    if (k + 1 < c.keys) {
+      const auto next = reinterpret_cast<std::uintptr_t>(&table.lock_of(k + 1));
+      const auto last_line = (addr + sizeof(core::SpRWLock) - 1) / 64;
+      ASSERT_NE(last_line, next / 64) << "keys " << k << " and " << k + 1;
+    }
+  }
+}
+
 TEST(LockTable, InvariantPairSemantics) {
   LockTable::Config c;
   c.keys = 16;
