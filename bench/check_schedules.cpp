@@ -15,19 +15,21 @@
 //
 // Exit status: 0 when everything passes (or a replayed artifact still
 // reproduces its recorded verdict class), 1 on a new violation, 2 on usage
-// errors. CI runs the DFS smoke + a PCT seed matrix and uploads any
-// CHECK_repro_*.json on failure.
+// errors: an unknown option, a missing value, a number that is not a plain
+// decimal or overflows, --threads below 1, or --writers above --threads.
+// CI compares the 2- and 3-thread DFS output with bench/golden/, runs a
+// PCT seed matrix and uploads any CHECK_repro_*.json on failure.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/support/check_cli.h"
 #include "check/artifact.h"
 #include "check/explorer.h"
 #include "check/harness.h"
 #include "check/registry.h"
-#include "fault/fault.h"
 
 namespace sprwl::check {
 namespace {
@@ -40,17 +42,6 @@ int usage(const char* argv0) {
                argv0);
   return 2;
 }
-
-struct Cli {
-  bool dfs = false;
-  bool pct = false;
-  std::string replay_file;
-  std::string lock;
-  std::uint64_t runs = 200;
-  std::uint64_t seed = fault::env_seed(1);
-  std::string artifact_dir = ".";
-  Workload workload;
-};
 
 void report(const char* mode, const std::string& lock,
             const ExploreReport& rep) {
@@ -75,7 +66,7 @@ void report(const char* mode, const std::string& lock,
   }
 }
 
-int run_replay(const Cli& cli) {
+int run_replay(const bench::CheckCli& cli) {
   ReproArtifact a;
   if (!read_artifact(cli.replay_file, &a)) {
     std::fprintf(stderr, "cannot parse artifact: %s\n",
@@ -99,52 +90,10 @@ int run_replay(const Cli& cli) {
 }  // namespace
 
 int run_main(int argc, char** argv) {
-  Cli cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--dfs") {
-      cli.dfs = true;
-    } else if (arg == "--pct") {
-      cli.pct = true;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.replay_file = v;
-    } else if (arg == "--lock") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.lock = v;
-    } else if (arg == "--runs") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.runs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.workload.threads = std::atoi(v);
-    } else if (arg == "--writers") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.workload.writers = std::atoi(v);
-    } else if (arg == "--ops") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.workload.ops_per_thread = std::atoi(v);
-    } else if (arg == "--artifact-dir") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cli.artifact_dir = v;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  const std::optional<bench::CheckCli> parsed =
+      bench::parse_check_cli(argc, argv);
+  if (!parsed) return usage(argv[0]);
+  bench::CheckCli cli = *parsed;
   if (!cli.replay_file.empty()) return run_replay(cli);
   if (!cli.dfs && !cli.pct) cli.dfs = cli.pct = true;
 

@@ -30,6 +30,19 @@
 
 namespace sprwl::bench {
 
+/// Parses all of `text` as a decimal number in [0, 2^64). False on an
+/// empty string, a sign or space, any trailing character, or overflow.
+inline bool parse_decimal(const char* text, std::uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 struct Args {
   bool full = false;
   bool smoke = false;
@@ -53,11 +66,8 @@ struct Args {
       usage(stderr, 2);
     };
     const auto number = [&](const std::string& arg, std::size_t skip) {
-      const char* text = arg.c_str() + skip;
-      char* end = nullptr;
-      errno = 0;
-      const std::uint64_t v = std::strtoull(text, &end, 10);
-      if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+      std::uint64_t v = 0;
+      if (!parse_decimal(arg.c_str() + skip, &v)) {
         bad("not a decimal number: " + arg);
       }
       return v;

@@ -3,7 +3,10 @@
 // Each run is hermetic — a fresh HTM engine, a fresh lock instance, fresh
 // shared cells and a fresh Simulator — so a schedule is a pure function of
 // the policy's decisions. That is the property the DFS prefix replay, the
-// trace minimizer and the repro artifacts all rest on.
+// trace minimizer and the repro artifacts all rest on. Fresh does not mean
+// expensive: the engine reuses a pooled line-id map. The lock and the
+// cells are line-aligned, so the explored tree does not depend on where
+// ASLR put the stack.
 //
 // The workload is the library's standard invariant carrier (same shape as
 // fault::run_chaos): writers increment a multi-cell counter under the
@@ -130,7 +133,10 @@ RunResult run_controlled(const Workload& w, sim::SchedulePolicy& policy,
   htm::Engine engine(ec);
   htm::EngineScope escope(engine);
 
-  auto lock = make_lock();
+  // Line-aligned like the cells: which of the lock's Shared words share a
+  // 64-byte line decides which accesses conflict, so an unaligned stack
+  // slot would make the explored tree depend on where ASLR put the stack.
+  alignas(64) auto lock = make_lock();
   std::vector<Cell> cells(static_cast<std::size_t>(w.cells));
 
   RunResult res;

@@ -17,7 +17,9 @@ class DurationEma {
   /// alpha is the weight of the newest sample; the paper's prototype uses a
   /// small constant so the estimate tracks workload shifts quickly without
   /// jitter. 1/8 matches common RTT-estimator practice.
-  explicit DurationEma(double alpha = 0.125) noexcept : alpha_(alpha) {}
+  static constexpr double kDefaultAlpha = 0.125;
+
+  explicit DurationEma(double alpha = kDefaultAlpha) noexcept : alpha_(alpha) {}
 
   /// Record one duration sample (cycles). Called by the sampler thread only.
   void record(std::uint64_t cycles) noexcept {

@@ -51,6 +51,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -205,7 +206,8 @@ struct Config {
   /// HTM attempts for the optimistic reader path (§3.4).
   static constexpr int kReaderHtmRetries = 10;
   /// Smoothing factor of the per-critical-section duration EMAs (§3.2.1).
-  static constexpr double kEmaAlpha = 0.125;
+  /// The plane's EMAs are built with DurationEma's default alpha.
+  static constexpr double kEmaAlpha = DurationEma::kDefaultAlpha;
   /// Thread that samples critical-section durations (§3.2.1).
   static constexpr int kSamplerTid = 0;
   /// Expected duration, in cycles, used before the first sample arrives.
@@ -293,9 +295,10 @@ class SpRWLock {
   }
 
   /// Virtual cycles spent in commit-time reader scans that ran to
-  /// completion without finding a reader (an abort unwinds before the
-  /// sample is taken), and how many such scans there were. The NUMA bench
-  /// divides them to show the sharded scan's smaller read set.
+  /// completion without finding a reader (a scan that finds one returns
+  /// the abort before the sample is taken), and how many such scans there
+  /// were. The NUMA bench divides them to show the sharded scan's smaller
+  /// read set.
   std::uint64_t commit_scan_cycles() const {
     const Plane* p = plane_peek();
     if (p == nullptr) return 0;
@@ -506,8 +509,8 @@ class SpRWLock {
       fault::checkpoint(fault::InjectPoint::kReadExit, this);
     }
     if (tid == Config::kSamplerTid) {
-      p.read_ema_[ema_slot(cs_id)]->record(platform::now() - cs_start);
-      read_estimate_hint_.store(p.read_ema_[ema_slot(cs_id)]->estimate(),
+      p.read_ema_[ema_slot(cs_id)].record(platform::now() - cs_start);
+      read_estimate_hint_.store(p.read_ema_[ema_slot(cs_id)].estimate(),
                                 std::memory_order_relaxed);
     }
     p.modes_.record_read(locks::CommitMode::kUnins);
@@ -599,11 +602,13 @@ class SpRWLock {
         retrying = true;
         retry_start = attempt_start;
       }
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (gl_.is_locked()) engine->abort_tx(kCodeLockBusy);  // subscription
-        f();
-        check_for_readers(engine, tid);
-      });
+      const htm::TxStatus status =
+          engine->try_transaction([&]() -> std::optional<htm::Abort> {
+            // Subscription: a later SGL acquisition aborts this attempt.
+            if (gl_.is_locked()) return htm::Abort{kCodeLockBusy};
+            f();
+            return check_for_readers(engine, tid);
+          });
       if (status.committed()) {
         // Pin the data commit's version before clear_flag's kIdle publish
         // overwrites last_commit_version() (the SI checker needs the
@@ -611,8 +616,8 @@ class SpRWLock {
         engine->note_section_version();
         if (tid == Config::kSamplerTid) {
           if (Plane* p = plane_peek()) {
-            p->write_ema_[ema_slot(cs_id)]->record(platform::now() -
-                                                   attempt_start);
+            p->write_ema_[ema_slot(cs_id)].record(platform::now() -
+                                                  attempt_start);
           }
         }
         trace::emit(trace::Event::kWriteHtmCommit,
@@ -866,12 +871,6 @@ class SpRWLock {
           scan_stats_(static_cast<std::size_t>(cfg.max_threads)),
           modes_(cfg.max_threads) {
       for (auto& w : waiting_for_) w->store(-1, std::memory_order_relaxed);
-      for (auto& e : read_ema_) {
-        e = std::make_unique<DurationEma>(Config::kEmaAlpha);
-      }
-      for (auto& e : write_ema_) {
-        e = std::make_unique<DurationEma>(Config::kEmaAlpha);
-      }
       if (cfg.use_snzi) {
         int levels = cfg.snzi_levels;
         if (levels == 0) {
@@ -904,7 +903,6 @@ class SpRWLock {
       b += reader_aborts_.capacity() * sizeof(CacheLinePadded<std::uint64_t>);
       b += scan_stats_.capacity() * sizeof(CacheLinePadded<ScanStat>);
       if (snzi_ != nullptr) b += snzi_->footprint_bytes();
-      b += kEmaSlots * 2 * sizeof(DurationEma);
       b += modes_.footprint_bytes();
       return b;
     }
@@ -926,8 +924,10 @@ class SpRWLock {
     std::vector<CacheLinePadded<std::uint64_t>> reader_aborts_;
     std::vector<CacheLinePadded<ScanStat>> scan_stats_;
     std::unique_ptr<snzi::Snzi> snzi_;
-    std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
-    std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
+    // Inline with alpha Config::kEmaAlpha: one plane allocation instead of
+    // 2 * kEmaSlots + 1, and sizeof(Plane) counts them.
+    DurationEma read_ema_[kEmaSlots];
+    DurationEma write_ema_[kEmaSlots];
     locks::ModeRecorder modes_;
   };
 
@@ -1031,11 +1031,11 @@ class SpRWLock {
   }
 
   std::uint64_t read_estimate(Plane& p, int cs_id) const {
-    const std::uint64_t e = p.read_ema_[ema_slot(cs_id)]->estimate();
+    const std::uint64_t e = p.read_ema_[ema_slot(cs_id)].estimate();
     return e != 0 ? e : Config::kBootstrapEstimate;
   }
   std::uint64_t write_estimate(Plane& p, int cs_id) const {
-    const std::uint64_t e = p.write_ema_[ema_slot(cs_id)]->estimate();
+    const std::uint64_t e = p.write_ema_[ema_slot(cs_id)].estimate();
     return e != 0 ? e : Config::kBootstrapEstimate;
   }
 
@@ -1206,10 +1206,12 @@ class SpRWLock {
     for (;;) {
       if (gl_.is_locked()) return false;  // no point speculating
       ++attempts;
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (gl_.is_locked()) engine->abort_tx(kCodeLockBusy);
-        f();
-      });
+      const htm::TxStatus status =
+          engine->try_transaction([&]() -> std::optional<htm::Abort> {
+            if (gl_.is_locked()) return htm::Abort{kCodeLockBusy};
+            f();
+            return std::nullopt;
+          });
       if (status.committed()) return true;
       plane().modes_.record_abort(status, kCodeLockBusy, kCodeReader);
       if (status.cause == htm::AbortCause::kCapacity ||
@@ -1239,34 +1241,33 @@ class SpRWLock {
     }
   }
 
-  /// Commit-time reader check, executed inside the writer's transaction.
-  /// The wrapper samples the scan's virtual-cycle cost; an abort_tx unwinds
-  /// past the sample, so only scans that found no reader are measured.
-  void check_for_readers(htm::Engine* engine, int tid) {
+  /// Commit-time reader check, executed inside the writer's transaction:
+  /// the reader abort when a reader is active, nullopt otherwise. The
+  /// wrapper samples the scan's virtual-cycle cost only for scans that
+  /// found no reader.
+  std::optional<htm::Abort> check_for_readers(htm::Engine* engine, int tid) {
     const std::uint64_t scan_start = platform::now();
-    check_for_readers_impl(engine, tid);
+    if (readers_present(engine, tid)) return htm::Abort{kCodeReader};
     if (Plane* p = plane_peek()) {
       auto& s = p->scan_stats_[static_cast<std::size_t>(tid)].value;
       s.cycles += platform::now() - scan_start;
       ++s.scans;
     }
+    return std::nullopt;
   }
 
-  void check_for_readers_impl(htm::Engine* engine, int tid) {
+  bool readers_present(htm::Engine* engine, int tid) {
     if (cfg_.bravo_bias) {
       // Transactional reads — both are *subscriptions*: a re-bias (reader
       // about to take the fast path) or a plane install (first slow-path
       // reader arriving) after this point bumps the word's line version
       // and aborts this writer at validation, so neither kind of reader
       // can hide (DESIGN.md §12).
-      if (bias_.load() != kBiasOff) engine->abort_tx(kCodeReader);
-      if (plane_published_.load() == 0) return;  // no slow reader ever
+      if (bias_.load() != kBiasOff) return true;
+      if (plane_published_.load() == 0) return false;  // no slow reader ever
     }
     Plane& p = plane();
-    if (cfg_.use_snzi) {
-      if (p.snzi_->query()) engine->abort_tx(kCodeReader);
-      return;
-    }
+    if (cfg_.use_snzi) return p.snzi_->query();
     if (sharded_) {
       // Hierarchical scan: S transactionally-subscribed socket summaries
       // instead of ceil(T/8) flag lines. A reader arriving on any socket
@@ -1282,11 +1283,9 @@ class SpRWLock {
               : -1;
       for (int s = 0; s < sockets_; ++s) {
         if (s == skip_socket) continue;
-        if (p.socket_count_[socket_word(s)].load() != 0) {
-          engine->abort_tx(kCodeReader);
-        }
+        if (p.socket_count_[socket_word(s)].load() != 0) return true;
       }
-      return;
+      return false;
     }
     if (cfg_.batched_reader_scan && cfg_.broken_scan_skip_tid < 0) {
       // Line-granular scan: state_ is 64-byte aligned, so elements
@@ -1299,17 +1298,16 @@ class SpRWLock {
       for (std::size_t base = 0; base < n; base += kFlagsPerLine) {
         const std::size_t count = std::min(kFlagsPerLine, n - base);
         if ((htm::line_or(*engine, &p.state_[base], count) & kReader) != 0) {
-          engine->abort_tx(kCodeReader);
+          return true;
         }
       }
-      return;
+      return false;
     }
     for (int t = 0; t < cfg_.max_threads; ++t) {
       if (t == tid || t == cfg_.broken_scan_skip_tid) continue;
-      if (p.state_[static_cast<std::size_t>(t)].load() == kReader) {
-        engine->abort_tx(kCodeReader);
-      }
+      if (p.state_[static_cast<std::size_t>(t)].load() == kReader) return true;
     }
+    return false;
   }
 
   /// Alg. 2 Readers_Wait: wait for the active writer expected to end last,
@@ -1438,7 +1436,7 @@ class SpRWLock {
     }
     if (tid == Config::kSamplerTid) {
       if (Plane* pp = plane_peek()) {
-        pp->write_ema_[ema_slot(cs_id)]->record(platform::now() - start);
+        pp->write_ema_[ema_slot(cs_id)].record(platform::now() - start);
       }
     }
     return true;

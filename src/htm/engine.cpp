@@ -11,6 +11,61 @@ namespace sprwl::htm {
 std::atomic<Engine*> Engine::g_current{nullptr};
 thread_local Engine* Engine::t_current = nullptr;
 
+namespace detail {
+/// An engine's line-id map (see Engine::line_of). slot_of_id is left
+/// uninitialized: an engine reads it only below its next dense id, so a
+/// map can be cleared in O(ids) instead of O(slots).
+struct LineIdMap {
+  explicit LineIdMap(std::size_t n)
+      : slots(n),
+        keys(new std::atomic<std::uint64_t>[n]()),
+        ids(new std::atomic<std::uint32_t>[n]()),
+        slot_of_id(new std::uint32_t[n]) {}
+
+  std::size_t slots;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> keys;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> ids;
+  std::unique_ptr<std::uint32_t[]> slot_of_id;
+};
+}  // namespace detail
+
+namespace {
+
+// Line-id maps kept for the next engine built on this thread — the
+// simulator's StackPool idiom. A fresh map zeroes every slot (384 KiB at
+// the 2^15-slot floor), while an explored schedule's engine touches a few
+// dozen lines; a returned map is cleared slot by slot and reused whole.
+struct IdMapPool {
+  std::size_t slots = 0;
+  std::vector<std::unique_ptr<detail::LineIdMap>> free_list;
+};
+thread_local IdMapPool t_id_map_pool;
+constexpr std::size_t kMaxPooledIdMaps = 4;
+
+std::unique_ptr<detail::LineIdMap> acquire_id_map(std::size_t slots) {
+  IdMapPool& pool = t_id_map_pool;
+  if (pool.slots == slots && !pool.free_list.empty()) {
+    std::unique_ptr<detail::LineIdMap> m = std::move(pool.free_list.back());
+    pool.free_list.pop_back();
+    return m;
+  }
+  return std::make_unique<detail::LineIdMap>(slots);
+}
+
+/// `map` must be all-zero again.
+void release_id_map(std::unique_ptr<detail::LineIdMap> map) {
+  IdMapPool& pool = t_id_map_pool;
+  if (pool.slots != map->slots) {
+    pool.free_list.clear();  // size changed: the old maps are useless
+    pool.slots = map->slots;
+  }
+  if (pool.free_list.size() < kMaxPooledIdMaps) {
+    pool.free_list.push_back(std::move(map));
+  }
+}
+
+}  // namespace
+
 const char* to_string(AbortCause c) noexcept {
   switch (c) {
     case AbortCause::kNone:
@@ -42,8 +97,10 @@ Engine::Engine(EngineConfig cfg)
   const int id_bits = std::min(std::max(cfg.table_bits, 14) + 1, 24);
   id_mask_ = (1ULL << id_bits) - 1;
   line_id_limit_ = 1u << (id_bits - 1);
-  line_keys_ = std::vector<std::atomic<std::uint64_t>>(1ULL << id_bits);
-  line_ids_ = std::vector<std::atomic<std::uint32_t>>(1ULL << id_bits);
+  id_map_ = acquire_id_map(std::size_t{1} << id_bits);
+  line_keys_ = id_map_->keys.get();
+  line_ids_ = id_map_->ids.get();
+  slot_of_id_ = id_map_->slot_of_id.get();
   track_owners_ =
       cfg.track_line_owners || cfg.topology.sockets > 1 || cfg.topology.nodes > 1;
   if (track_owners_) {
@@ -90,6 +147,15 @@ Engine::~Engine() {
   Engine* expected = this;
   g_current.compare_exchange_strong(expected, nullptr,
                                     std::memory_order_acq_rel);
+  // Hand the id map back all-zero: clear exactly the slots dense ids
+  // claimed (every claimed slot got an id, and ids are dense).
+  const std::uint32_t used = next_line_id_.load(std::memory_order_relaxed);
+  for (std::uint32_t id = 0; id < used; ++id) {
+    const std::uint32_t s = slot_of_id_[id];
+    line_keys_[s].store(0, std::memory_order_relaxed);
+    line_ids_[s].store(0, std::memory_order_relaxed);
+  }
+  release_id_map(std::move(id_map_));
 }
 
 void Engine::abort_tx(std::uint8_t code) {
@@ -582,8 +648,8 @@ void Engine::commit_attempt(Descriptor& d) {
   d.depth = 0;
 }
 
-void Engine::rollback_attempt(Descriptor& d, const AbortException& a) {
-  switch (a.cause()) {
+void Engine::rollback_attempt(Descriptor& d, AbortCause cause) {
+  switch (cause) {
     case AbortCause::kConflict:
       ++d.ab_conflict;
       break;

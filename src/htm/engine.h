@@ -43,17 +43,24 @@
 //    conflicts. Callers (the RW-LE baseline) must serialize ROTs, which the
 //    engine asserts.
 //
-// Aborts unwind via AbortException (not derived from std::exception so that
-// user-level `catch (const std::exception&)` cannot swallow a rollback).
-// User exceptions thrown inside a transaction abort it cleanly and then
-// propagate.
+// Explicit aborts on the lock protocols' hot paths are *returned*: a body
+// that returns htm::Abort{code} is rolled back like abort_tx(code) without
+// unwinding the stack, because a C++ throw costs microseconds of host time
+// and lock protocols abort explicitly several times per contended section.
+// Every other abort — conflicts, capacity, spurious, and abort_tx where an
+// abort must cross frames — unwinds via AbortException (not derived from
+// std::exception so that user-level `catch (const std::exception&)` cannot
+// swallow a rollback). User exceptions thrown inside a transaction abort it
+// cleanly and then propagate.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/costs.h"
@@ -85,6 +92,10 @@ class AbortException {
 /// (registered or HTM-first) read.
 class SnapshotMiss {};
 
+namespace detail {
+struct LineIdMap;  // the pooled storage behind Engine::line_of (engine.cpp)
+}  // namespace detail
+
 class Engine {
  public:
   explicit Engine(EngineConfig cfg = {});
@@ -98,52 +109,41 @@ class Engine {
   /// Runs `body` as one hardware-transaction attempt. Returns the outcome;
   /// never retries by itself (retry policies live in the lock algorithms).
   /// Re-entrant calls flatten into the enclosing transaction.
+  ///
+  /// `body` returns void, or std::optional<Abort>: a returned Abort rolls
+  /// the attempt back exactly like abort_tx(code) — same TxStatus, counter
+  /// and virtual-time charge — but without throwing, which is what makes an
+  /// explicit abort cheap on the host. Inside a flattened nested attempt a
+  /// returned Abort still unwinds to the outer begin.
   template <class F>
   TxStatus try_transaction(F&& body) {
     Descriptor& d = self();
     if (d.depth > 0) {  // flat nesting: aborts unwind to the outer begin
       ++d.depth;
-      body();
+      if (const std::optional<Abort> a = run_body(body))
+        abort_internal(AbortCause::kExplicit, a->code);
       --d.depth;
       return {};
     }
     begin_attempt(d, /*rot=*/false);
-    try {
-      body();
-      commit_attempt(d);
-      return {};
-    } catch (const AbortException& a) {
-      rollback_attempt(d, a);
-      return {a.cause(), a.code()};
-    } catch (...) {
-      rollback_user(d);
-      throw;
-    }
+    return attempt(d, body);
   }
 
   /// Runs `body` as a rollback-only transaction (POWER8 ROT): buffered
   /// writes, no read tracking/validation. At most one ROT may run at a
-  /// time; the caller provides that serialization (RW-LE does).
+  /// time; the caller provides that serialization (RW-LE does). `body` may
+  /// return an Abort, as for try_transaction.
   template <class F>
   TxStatus try_rot(F&& body) {
     Descriptor& d = self();
     assert(d.depth == 0 && "ROT cannot nest inside a transaction");
     begin_attempt(d, /*rot=*/true);
-    try {
-      body();
-      commit_attempt(d);
-      return {};
-    } catch (const AbortException& a) {
-      rollback_attempt(d, a);
-      return {a.cause(), a.code()};
-    } catch (...) {
-      rollback_user(d);
-      throw;
-    }
+    return attempt(d, body);
   }
 
   /// Explicitly aborts the running transaction with a user code
   /// (Intel _xabort semantics). Must be called inside a transaction.
+  /// Throws; a body that can return instead should return Abort{code}.
   [[noreturn]] void abort_tx(std::uint8_t code);
 
   /// True when the calling thread is inside a transaction on this engine.
@@ -461,6 +461,7 @@ class Engine {
                                                   std::memory_order_acq_rel)) {
           const std::uint32_t id =
               next_line_id_.fetch_add(1, std::memory_order_relaxed);
+          slot_of_id_[id] = static_cast<std::uint32_t>(s);
           line_ids_[s].store(id + 1, std::memory_order_release);
           return id & static_cast<std::uint32_t>(table_mask_);
         }
@@ -509,6 +510,41 @@ class Engine {
     if (extra > 0) platform::advance(extra);
   }
 
+  /// Runs a body that returns void or std::optional<Abort>.
+  template <class F>
+  static std::optional<Abort> run_body(F& body) {
+    if constexpr (std::is_void_v<std::invoke_result_t<F&>>) {
+      body();
+      return std::nullopt;
+    } else {
+      return body();
+    }
+  }
+
+  /// The attempt begun by begin_attempt: runs `body`, then commits or rolls
+  /// back. A returned Abort is rolled back outside the try block, so the
+  /// rollback's own charge unwinds exactly as it does from the catch
+  /// handler of a thrown one.
+  template <class F>
+  TxStatus attempt(Descriptor& d, F& body) {
+    std::optional<Abort> returned;
+    try {
+      returned = run_body(body);
+      if (!returned) {
+        commit_attempt(d);
+        return {};
+      }
+    } catch (const AbortException& a) {
+      rollback_attempt(d, a.cause());
+      return {a.cause(), a.code()};
+    } catch (...) {
+      rollback_user(d);
+      throw;
+    }
+    rollback_attempt(d, AbortCause::kExplicit);
+    return {AbortCause::kExplicit, returned->code};
+  }
+
   /// tx_read of a line not yet in the read set: capacity check, then a
   /// stable (version, value) pair recorded as a new read entry.
   std::uint64_t tx_read_new_line(Descriptor& d, std::uint32_t line,
@@ -517,7 +553,7 @@ class Engine {
   void commit_attempt(Descriptor& d);  // throws AbortException on conflict
   void commit_publish_perline(Descriptor& d);
   void commit_publish_global(Descriptor& d);
-  void rollback_attempt(Descriptor& d, const AbortException& a);
+  void rollback_attempt(Descriptor& d, AbortCause cause);
   void rollback_user(Descriptor& d);
   void maybe_spurious(Descriptor& d);
   void extend(Descriptor& d);  // throws AbortException on failure
@@ -555,11 +591,16 @@ class Engine {
   std::uint64_t table_mask_;
   std::vector<std::atomic<std::uint64_t>> table_;
   // First-touch line-id map (see line_of): open addressing, keys are
-  // (addr >> 6) + 1, values are dense id + 1 (0 = unpublished).
+  // (addr >> 6) + 1, ids are dense id + 1 (0 = unpublished), and
+  // slot_of_id_[i] is the slot dense id i claimed. The arrays belong to
+  // id_map_, which comes from a per-thread pool and goes back to it
+  // all-zero (engine.cpp).
   std::uint64_t id_mask_ = 0;
   std::uint32_t line_id_limit_ = 0;
-  std::vector<std::atomic<std::uint64_t>> line_keys_;
-  std::vector<std::atomic<std::uint32_t>> line_ids_;
+  std::unique_ptr<detail::LineIdMap> id_map_;
+  std::atomic<std::uint64_t>* line_keys_ = nullptr;
+  std::atomic<std::uint32_t>* line_ids_ = nullptr;
+  std::uint32_t* slot_of_id_ = nullptr;
   std::atomic<std::uint32_t> next_line_id_{0};
   std::atomic<std::uint64_t> gvc_{0};
   std::atomic<bool> commit_locked_{false};

@@ -29,7 +29,7 @@ enum class AbortCause : std::uint8_t {
   kNone = 0,      ///< committed successfully
   kConflict,      ///< read-set invalidated by a concurrent commit/store
   kCapacity,      ///< read or write footprint exceeded the profile
-  kExplicit,      ///< tx_abort(code) was called inside the transaction
+  kExplicit,      ///< abort_tx(code) was called, or the body returned Abort
   kSpurious,      ///< modelled interrupt/context-switch abort
 };
 
@@ -41,6 +41,14 @@ struct TxStatus {
   std::uint8_t code = 0;  ///< user code for kExplicit (like _xabort imm8)
 
   bool committed() const noexcept { return cause == AbortCause::kNone; }
+};
+
+/// An explicit abort a transaction body returns instead of calling
+/// Engine::abort_tx (see Engine::try_transaction): the engine rolls it back
+/// exactly like abort_tx(code) — cause kExplicit, the same counter and the
+/// same tx_abort charge — without unwinding the stack.
+struct Abort {
+  std::uint8_t code = 0;  ///< user code, reported in TxStatus::code
 };
 
 /// Hardware capacity limits, in 64-byte cache lines.

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -95,19 +96,8 @@ class RWLELock {
     for (;;) {
       while (rot_lock_.is_locked()) platform::pause();
       ++attempts;
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (rot_lock_.is_locked()) engine->abort_tx(kCodeLockBusy);
-        platform::sched_point(SchedKind::kWriteEnter, this);
-        f();
-        // Commit-time reader check (the suspended-read trick on POWER8):
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == self) continue;
-          if ((flags_[static_cast<std::size_t>(t)].load() & 1) != 0) {
-            engine->abort_tx(kCodeReader);
-          }
-        }
-        platform::sched_point(SchedKind::kWriteExit, this);
-      });
+      const htm::TxStatus status =
+          engine->try_transaction([&] { return htm_write_body(self, f); });
       if (status.committed()) {
         modes_.record_write(CommitMode::kHtm);
         return;
@@ -212,18 +202,8 @@ class RWLELock {
         platform::pause();
       }
       ++attempts;
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (rot_lock_.is_locked()) engine->abort_tx(kCodeLockBusy);
-        platform::sched_point(SchedKind::kWriteEnter, this);
-        f();
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == self) continue;
-          if ((flags_[static_cast<std::size_t>(t)].load() & 1) != 0) {
-            engine->abort_tx(kCodeReader);
-          }
-        }
-        platform::sched_point(SchedKind::kWriteExit, this);
-      });
+      const htm::TxStatus status =
+          engine->try_transaction([&] { return htm_write_body(self, f); });
       if (status.committed()) {
         modes_.record_write(CommitMode::kHtm);
         return AcquireResult::kAcquired;
@@ -287,6 +267,24 @@ class RWLELock {
   static const char* name() noexcept { return "RW-LE"; }
 
  private:
+  /// The HTM writer attempt shared by write and try_write_for: the ROT-lock
+  /// subscription, the section, and the commit-time reader check (the
+  /// suspended-read trick on POWER8).
+  template <class F>
+  std::optional<htm::Abort> htm_write_body(int self, F& f) {
+    if (rot_lock_.is_locked()) return htm::Abort{kCodeLockBusy};
+    platform::sched_point(SchedKind::kWriteEnter, this);
+    f();
+    for (int t = 0; t < cfg_.max_threads; ++t) {
+      if (t == self) continue;
+      if ((flags_[static_cast<std::size_t>(t)].load() & 1) != 0) {
+        return htm::Abort{kCodeReader};
+      }
+    }
+    platform::sched_point(SchedKind::kWriteExit, this);
+    return std::nullopt;
+  }
+
   /// Grace period: every reader that was active at the snapshot finishes.
   /// New readers are free to start (RW-LE readers never wait for writers).
   void grace_period(int self) {

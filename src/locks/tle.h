@@ -9,6 +9,7 @@
 // readers exceed capacity.
 #pragma once
 
+#include <optional>
 #include <utility>
 
 #include "common/platform.h"
@@ -100,12 +101,15 @@ class TLELock {
         platform::pause();
       }
       ++attempts;
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (gl_.is_locked()) engine->abort_tx(kCodeLockBusy);  // subscription
-        platform::sched_point(enter, this);
-        f();
-        platform::sched_point(exit, this);
-      });
+      const htm::TxStatus status =
+          engine->try_transaction([&]() -> std::optional<htm::Abort> {
+            // Subscription: a later SGL acquisition aborts this attempt.
+            if (gl_.is_locked()) return htm::Abort{kCodeLockBusy};
+            platform::sched_point(enter, this);
+            f();
+            platform::sched_point(exit, this);
+            return std::nullopt;
+          });
       if (status.committed()) {
         mode = CommitMode::kHtm;
         return true;

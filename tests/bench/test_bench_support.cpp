@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bench/support/check_cli.h"
+
 namespace sprwl::bench {
 namespace {
 
@@ -107,6 +112,54 @@ TEST(Args, BadCommandLinesExitTwo) {
   exits_2("--measure=99999999999999999999999");
   exits_2("--seed=abc");
   exits_2("--seed= 7");
+}
+
+std::optional<CheckCli> parse_check(const std::vector<const char*>& args) {
+  std::vector<char*> argv{const_cast<char*>("check_schedules")};
+  for (const char* a : args) argv.push_back(const_cast<char*>(a));
+  return parse_check_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(CheckCli, ParsesTheWorkloadShape) {
+  const std::optional<CheckCli> cli =
+      parse_check({"--dfs", "--threads", "2", "--writers", "2", "--ops", "3",
+                   "--runs", "7", "--seed", "18446744073709551615", "--lock",
+                   "TLE"});
+  ASSERT_TRUE(cli.has_value());
+  EXPECT_TRUE(cli->dfs);
+  EXPECT_FALSE(cli->pct);
+  EXPECT_EQ(cli->workload.threads, 2);
+  EXPECT_EQ(cli->workload.writers, 2);
+  EXPECT_EQ(cli->workload.ops_per_thread, 3);
+  EXPECT_EQ(cli->runs, 7u);
+  EXPECT_EQ(cli->seed, 18446744073709551615u);
+  EXPECT_EQ(cli->lock, "TLE");
+}
+
+// check_schedules exits 2 whenever parse_check_cli rejects its arguments.
+TEST(CheckCli, RejectsMalformedNumbersAndShapes) {
+  const std::vector<std::vector<const char*>> bad = {
+      {"--threads", "abc"},
+      {"--threads", "-1"},
+      {"--threads", "0"},
+      {"--threads", "2147483648"},
+      {"--threads", "3x"},
+      {"--writers", "4"},  // default --threads is 3
+      {"--threads", "2", "--writers", "3"},
+      {"--writers", " 1"},
+      {"--ops", ""},
+      {"--runs", "99999999999999999999999"},
+      {"--runs", "+5"},
+      {"--seed", "-7"},
+      {"--seed"},
+      {"--dfss"},
+      {"--lock"},
+  };
+  for (const auto& args : bad) {
+    std::string joined;
+    for (const char* a : args) joined += std::string(a) + " ";
+    EXPECT_FALSE(parse_check(args).has_value()) << joined;
+  }
 }
 
 TEST(JsonWriter, ObjectsArraysAndScalars) {

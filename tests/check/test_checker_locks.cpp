@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "check/artifact.h"
 #include "check/explorer.h"
@@ -424,6 +425,43 @@ TEST(CheckerLocks, PctCalibrationReplacesStaticHeuristic) {
   EXPECT_EQ(a.calibrated_decisions, b.calibrated_decisions);
   EXPECT_EQ(a.schedules, on.max_runs);
   EXPECT_FALSE(a.found_violation);
+}
+
+// Registry DFS at 2 threads for every lock, run from a frame grown by
+// `Pad` bytes: every stack object of the run — the harness's lock
+// included — moves by Pad. noinline keeps the pad in a frame of its own.
+template <std::size_t Pad>
+[[gnu::noinline]] std::vector<std::uint64_t> dfs_counts_at_stack_offset() {
+  volatile char pad[Pad];
+  pad[0] = 0;
+  Workload w;
+  w.threads = 2;
+  w.writers = 1;
+  std::vector<std::uint64_t> counts;
+  for (const std::string& name : checked_locks()) {
+    const ExploreReport rep =
+        explore_dfs(make_runner(name, w), w, ExploreOptions{});
+    counts.push_back(rep.schedules);
+  }
+  pad[Pad - 1] = pad[0];
+  return counts;
+}
+
+// The explored tree is a function of the lock's protocol, not of where the
+// stack happens to sit: offsets 16..64 cover every 16-byte placement of
+// the run's objects relative to a 64-byte line. Before the harness
+// line-aligned the lock, SpRWL-bravo-numa's count moved with ASLR.
+TEST(CheckerLocks, DfsCountsIndependentOfStackOffset) {
+  const std::vector<std::uint64_t> base = dfs_counts_at_stack_offset<16>();
+  const std::vector<std::string> names = checked_locks();
+  const std::vector<std::vector<std::uint64_t>> shifted = {
+      dfs_counts_at_stack_offset<32>(), dfs_counts_at_stack_offset<48>(),
+      dfs_counts_at_stack_offset<64>()};
+  for (const auto& counts : shifted) {
+    ASSERT_EQ(counts.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+      EXPECT_EQ(counts[i], base[i]) << names[i];
+  }
 }
 
 }  // namespace

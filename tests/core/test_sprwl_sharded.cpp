@@ -126,9 +126,10 @@ TEST(SpRWLSharded, Fig1_WriterAbortsOnRemoteSocketReader) {
   EXPECT_GE(lock.reader_abort_count(), 1u);
 }
 
-// Scan-cost accounting: only scans that found no reader are sampled (an
-// abort unwinds past the sample), so an uncontended HTM write records
-// exactly one passing scan with a non-zero virtual-cycle cost.
+// Scan-cost accounting: only scans that found no reader are sampled (a
+// scan that finds one returns the reader abort before the sample), so an
+// uncontended HTM write records exactly one passing scan with a non-zero
+// virtual-cycle cost.
 TEST(SpRWLSharded, PassingCommitScanIsSampled) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
@@ -136,6 +137,33 @@ TEST(SpRWLSharded, PassingCommitScanIsSampled) {
   Cell x;
   sim::Simulator sim;
   sim.run(1, [&](int) { lock.write(1, [&] { x.v.store(1); }); });
+  EXPECT_EQ(lock.stats().writes.htm, 1u);
+  EXPECT_EQ(lock.commit_scan_count(), 1u);
+  EXPECT_GT(lock.commit_scan_cycles(), 0u);
+}
+
+// The other half of the accounting: a writer whose scans find a live
+// uninstrumented reader aborts on them, and none of those scans is
+// sampled — once the reader leaves, the committed write's passing scan is
+// the only sample. kFull: after a reader abort the writer waits for the
+// reader to end instead of burning its retries, so it commits in HTM.
+TEST(SpRWLCommitScan, ScansThatFindAReaderAreNotSampled) {
+  htm::Engine engine{htm::EngineConfig{}};
+  htm::EngineScope scope(engine);
+  Config cfg = Config::variant(SchedulingVariant::kFull, 2);
+  cfg.reader_htm_first = false;
+  SpRWLock lock{cfg};
+  Cell x;
+  sim::Simulator sim;
+  sim.run(2, [&](int tid) {
+    if (tid == 0) {
+      lock.read(0, [&] { platform::advance(3000); });
+    } else {
+      platform::advance(1000);
+      lock.write(1, [&] { x.v.store(1); });
+    }
+  });
+  EXPECT_GE(lock.reader_abort_count(), 1u);
   EXPECT_EQ(lock.stats().writes.htm, 1u);
   EXPECT_EQ(lock.commit_scan_count(), 1u);
   EXPECT_GT(lock.commit_scan_cycles(), 0u);
