@@ -4,12 +4,6 @@
 // are stable under +/-2x changes of those constants. This bench runs the
 // core Fig. 3 comparison (TLE vs RWL vs SpRWL, 10% updates, long readers)
 // at cost scales 0.5x, 1x and 2x.
-//
-// The SpRWL-lin row runs SpRWL with the commit-time reader scan in its
-// word-at-a-time form (batched_reader_scan = false): the batched scan reads
-// whole 64-byte lines of state flags, so a writer charges ceil(T/8) loads
-// instead of T inside its commit transaction — this row quantifies what
-// that batching is worth (and shows the qualitative picture is unchanged).
 #include <cstdio>
 
 #include "bench/support/hashmap_fig.h"
@@ -52,9 +46,6 @@ void run(const Args& args) {
     hashmap_series(runner, "TLE", m, p, {threads}, make_tle());
     hashmap_series(runner, "RWL", m, p, {threads}, make_rwl());
     hashmap_series(runner, "SpRWL", m, p, {threads}, make_sprwl());
-    hashmap_series(runner, "SpRWL-lin", m, p, {threads},
-                   make_sprwl(core::SchedulingVariant::kFull, false,
-                              /*batched_scan=*/false));
   }
   runner.drain();
   g_costs = CostModel{};  // restore defaults

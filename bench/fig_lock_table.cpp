@@ -6,7 +6,6 @@
 //   bravo     Config::bravo_bias — global visible-readers table, per-lock
 //             O(1)-word shell, lazily allocated tracking plane;
 //   flat      default SpRWL (lazy plane, per-thread flag scan);
-//   sharded   Config::socket_sharded_tracking (per-socket summaries);
 //   snzi      Config::use_snzi (tree-tracked readers).
 //
 // All variants run with reader_htm_first=false: the comparison is the cost
@@ -22,11 +21,12 @@
 //               eager >= 10x bravo bytes/lock at 1M keys.
 //   throughput  variants x update ratios x seeds at high thread count,
 //               seed-averaged, plus revocation latency (drain cycles per
-//               revocation) for bravo. Acceptance: bravo read-mostly mean
-//               throughput >= sharded at the sweep's thread count.
-//   numa_2s     2-socket column: global vs. per-socket-sharded BRAVO slot
-//               tables (bravo::Config::shard_by_socket) on a 2-socket
-//               split with line-owner tracking live, read-mostly.
+//               revocation) for bravo. Recorded, not part of the exit
+//               status: bravo read-mostly mean throughput >= flat at the
+//               sweep's thread count (`read_mostly_parity`).
+//   numa_2s     2-socket column: BRAVO over the per-socket-sharded slot
+//               table a 2-socket topology gets, with line-owner tracking
+//               live, read-mostly.
 //   identity    bravo_bias=false with a ReaderTable *present* must emit
 //               rows byte-identical to plain SpRWL — the bravo machinery
 //               (bias word, lazy plane, table registration) is a strict
@@ -68,19 +68,13 @@ core::Config variant_cfg(const std::string& name, int threads) {
     bravo::ReaderTable::Config tc;
     tc.max_threads = threads;
     c.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
-  } else if (name == "bravo-2s" || name == "bravo-numa-2s") {
-    // The 2-socket column: bias through a global slot array vs. per-socket
-    // shards (bravo::Config::shard_by_socket), both on a 2-socket split.
+  } else if (name == "bravo-numa-2s") {
+    // The 2-socket column: a 2-socket topology shards the slot table.
     c.bravo_bias = true;
-    c.topology = sim::Topology::split(threads, 2);
     bravo::ReaderTable::Config tc;
     tc.max_threads = threads;
-    tc.topology = c.topology;
-    tc.shard_by_socket = name == "bravo-numa-2s";
+    tc.topology = sim::Topology::split(threads, 2);
     c.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
-  } else if (name == "sharded") {
-    c.socket_sharded_tracking = true;
-    c.topology = sim::Topology::split(threads, 2);
   } else if (name == "snzi") {
     c.use_snzi = true;
   }  // "flat": defaults
@@ -265,7 +259,7 @@ int run(int argc, char** argv) {
   std::printf("  eager >= 10x bravo: %s\n", footprint_10x ? "yes" : "NO");
 
   // --- throughput sweep ---------------------------------------------------
-  const std::vector<std::string> variants{"bravo", "flat", "sharded", "snzi"};
+  const std::vector<std::string> variants{"bravo", "flat", "snzi"};
   struct SweepPoint {
     std::string variant;
     double ur = 0;
@@ -311,70 +305,52 @@ int run(int argc, char** argv) {
   }
   std::fputs(sweep_rows.c_str(), stdout);
 
-  // Acceptance: at the lowest update ratio (read-mostly), bravo's
-  // seed-mean throughput is at least the sharded layout's.
-  double bravo_rm = 0, sharded_rm = 0;
+  // Recorded gate: at the lowest update ratio (read-mostly), bravo's
+  // seed-mean throughput is at least flat's.
+  double bravo_rm = 0, flat_rm = 0;
   const double rm_ur = p.update_ratios.front();
   for (const SweepPoint& pt : points) {
     if (pt.ur != rm_ur) continue;
     if (pt.variant == "bravo") bravo_rm = pt.mean_tx_s();
-    if (pt.variant == "sharded") sharded_rm = pt.mean_tx_s();
+    if (pt.variant == "flat") flat_rm = pt.mean_tx_s();
   }
-  const bool read_mostly_parity = bravo_rm >= sharded_rm;
-  std::printf("\nread-mostly (ur=%.3f, %d thr): bravo %.3e vs sharded %.3e "
+  const bool read_mostly_parity = bravo_rm >= flat_rm;
+  std::printf("\nread-mostly (ur=%.3f, %d thr): bravo %.3e vs flat %.3e "
               "tx/s — parity: %s\n",
-              rm_ur, p.sweep_threads, bravo_rm, sharded_rm,
+              rm_ur, p.sweep_threads, bravo_rm, flat_rm,
               read_mostly_parity ? "yes" : "NO");
   // --- 2-socket column ----------------------------------------------------
-  // Global vs. per-socket-sharded BRAVO tables on a 2-socket topology with
-  // line-owner tracking on, read-mostly: the sharded table keeps each
-  // socket's slot lines socket-local where the global table's hash spreads
-  // them across both.
-  struct Numa2sPoint {
-    std::string variant;
-    std::vector<std::pair<std::uint64_t, PointResult>> runs;
-    double mean_tx_s() const {
-      double s = 0;
-      for (const auto& r : runs) s += r.second.run.throughput_tx_s();
-      return runs.empty() ? 0 : s / static_cast<double>(runs.size());
-    }
-  };
+  // BRAVO over the per-socket-sharded table on a 2-socket topology with
+  // line-owner tracking on, read-mostly: each socket's slot lines stay
+  // socket-local.
+  const char* const numa_variant = "bravo-numa-2s";
   const double numa_ur = p.update_ratios.front();
-  std::vector<Numa2sPoint> numa2s;
-  numa2s.reserve(2);
+  std::vector<std::pair<std::uint64_t, PointResult>> numa2s;
   std::string numa2s_rows;
   {
     Runner runner(jobs);
-    for (const char* v : {"bravo-2s", "bravo-numa-2s"}) {
-      numa2s.emplace_back();
-      Numa2sPoint& pt = numa2s.back();
-      pt.variant = v;
-      for (const std::uint64_t seed : p.seeds) {
-        auto res = std::make_shared<PointResult>();
-        runner.submit_timed(
-            [&, v, seed, res] {
-              res->run = run_point(v, p.sweep_keys, p.sweep_threads, numa_ur,
-                                   seed, p.warmup_cycles, p.measure_cycles, m,
-                                   false, 2);
-            },
-            [&, v, seed, res](double ms) {
-              res->wall_ms = ms;
-              numa2s_rows += format_point(v, p.sweep_threads, numa_ur, seed,
-                                          res->run);
-              total_torn += res->run.invariant_failures;
-              pt.runs.emplace_back(seed, *res);
-            });
-      }
+    for (const std::uint64_t seed : p.seeds) {
+      auto res = std::make_shared<PointResult>();
+      runner.submit_timed(
+          [&, seed, res] {
+            res->run = run_point(numa_variant, p.sweep_keys, p.sweep_threads,
+                                 numa_ur, seed, p.warmup_cycles,
+                                 p.measure_cycles, m, false, 2);
+          },
+          [&, seed, res](double ms) {
+            res->wall_ms = ms;
+            numa2s_rows += format_point(numa_variant, p.sweep_threads,
+                                        numa_ur, seed, res->run);
+            total_torn += res->run.invariant_failures;
+            numa2s.emplace_back(seed, *res);
+          });
     }
     runner.drain();
   }
   std::fputs(numa2s_rows.c_str(), stdout);
-  const bool numa2s_sharded_wins =
-      numa2s[1].mean_tx_s() >= numa2s[0].mean_tx_s();
-  std::printf("2-socket column (ur=%.3f): sharded-table %.3e vs global %.3e "
-              "tx/s — sharded >= global: %s\n",
-              numa_ur, numa2s[1].mean_tx_s(), numa2s[0].mean_tx_s(),
-              numa2s_sharded_wins ? "yes" : "no");
+  double numa_mean = 0;
+  for (const auto& r : numa2s) numa_mean += r.second.run.throughput_tx_s();
+  if (!numa2s.empty()) numa_mean /= static_cast<double>(numa2s.size());
   std::printf("invariant failures (torn reads) across all runs: %llu\n",
               static_cast<unsigned long long>(total_torn));
 
@@ -455,21 +431,16 @@ int run(int argc, char** argv) {
   j.key("update_ratio").value(numa_ur);
   j.key("sockets").value(2);
   j.key("runs").begin_array();
-  for (const Numa2sPoint& pt : numa2s) {
-    for (const auto& r : pt.runs) {
-      json_run(j, pt.variant, p.sweep_threads, numa_ur, r.first, r.second);
-    }
+  for (const auto& r : numa2s) {
+    json_run(j, numa_variant, p.sweep_threads, numa_ur, r.first, r.second);
   }
   j.end_array();
   j.key("means").begin_array();
-  for (const Numa2sPoint& pt : numa2s) {
-    j.begin_object();
-    j.key("variant").value(pt.variant);
-    j.key("mean_tx_s").value(pt.mean_tx_s());
-    j.end_object();
-  }
+  j.begin_object();
+  j.key("variant").value(numa_variant);
+  j.key("mean_tx_s").value(numa_mean);
+  j.end_object();
   j.end_array();
-  j.key("sharded_table_wins").value(numa2s_sharded_wins);
   j.end_object();
   j.key("invariant_failures").value(total_torn);
   j.key("bravo_off_identical").value(bravo_off_identical);

@@ -1,40 +1,24 @@
 // NUMA scaling of SpRWL reader tracking (DESIGN.md §11): sweeps simulated
-// sockets × thread counts on the read-heavy hash-map workload and compares
-//
-//   flat      the default per-thread state array — the writer's commit
-//             scan reads ceil(threads/8) flag lines, most owned by remote
-//             sockets at scale;
-//   sharded   Config::socket_sharded_tracking — per-socket flag shards
-//             plus one per-socket summary word, so the commit scan reads
-//             `sockets` summary lines instead.
+// sockets × thread counts on the read-heavy hash-map workload with the
+// default per-thread state array — the writer's commit scan reads
+// ceil(threads/8) flag lines, most owned by remote sockets at scale.
 //
 // Every point runs with line-owner tracking on, so loads/stores/CAS pay
 // the topology-aware coherence extras (CostModel::remote_socket /
 // remote_cross). Because single-run throughput of this system is chaotic
 // (a ±3% swing from any perturbed escalation), every point is the mean
-// over a seed set; per-seed values are kept in the JSON. Three checks
-// matter, and all land in BENCH_numa.json:
+// over a seed set; per-seed values are kept in the JSON. The identity
+// check — 1-socket runs with tracking forced on are byte-identical to the
+// plain defaults (remote_socket = 0 keeps the model a strict no-op
+// off-NUMA) — lands in BENCH_numa.json as `outputs_identical`.
 //
-//   * identity   1-socket runs with tracking forced on are byte-identical
-//                to the plain defaults (remote_socket = 0 keeps the model
-//                a strict no-op off-NUMA) — `outputs_identical`;
-//   * scan cost  at >= 2 sockets and 32+ threads the sharded layout spends
-//                fewer total virtual cycles in (passing) writer commit
-//                scans than the flat layout;
-//   * crossover  at >= 2 sockets and 32+ threads read-heavy, mean sharded
-//                throughput beats flat.
-//
-// A remote-cost sensitivity sweep (remote_cross in {50,100,200}) shows the
-// conclusions are not an artifact of one cost choice.
-//
-// A second sweep covers the BRAVO reader table (DESIGN.md §16): {global,
-// socket-sharded} slot layouts × {migratory, home-directory} ownership
-// models × sockets, read-mostly. Checks: the sharded table's mean
-// throughput is at least the global table's at every 2+-socket point
-// under both models (`bravo_sharded_beats_global`), and the 1-socket
-// home-directory rows are byte-identical to the migratory ones
+// A second sweep covers the BRAVO reader table (DESIGN.md §16) ×
+// {migratory, home-directory} ownership models × sockets, read-mostly. The
+// table's layout follows the topology: one global slot array on one
+// socket, per-socket shards on more. Check: the 1-socket home-directory
+// rows are byte-identical to the migratory ones
 // (`bravo_identity_1socket`). `--smoke` shrinks every sweep for CI. Exit
-// status is non-zero if any identity or bravo acceptance check fails.
+// status is non-zero if either identity check fails.
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -57,11 +41,11 @@ struct NumaRun {
   std::uint64_t scans = 0;
 };
 
-/// One (sockets, threads, layout) point: per-seed runs plus their means.
+/// One (sockets, threads, lock) point: per-seed runs plus their means.
 struct NumaPoint {
   int sockets = 1;
   int threads = 0;
-  std::string lock;  // "flat" | "sharded" | "bravo-global" | "bravo-sharded"
+  std::string lock;  // "flat" | "bravo-global" (1 socket) | "bravo-sharded"
   std::string model = "migratory";  // CostModel::ownership during the run
   std::vector<NumaRun> runs;
 
@@ -85,12 +69,12 @@ struct NumaPoint {
   }
 };
 
-/// Submits one (sockets, threads, layout, seed) run. Like hashmap_series,
-/// but the engine carries the socket topology (and forced owner tracking)
-/// and the lock the sharded-tracking switch — SeriesOptions has no engine
-/// hook, and the scan counters live on SpRWLock, not in LockStats.
+/// Submits one (sockets, threads, seed) run. Like hashmap_series, but the
+/// engine carries the socket topology (and forced owner tracking) —
+/// SeriesOptions has no engine hook, and the scan counters live on
+/// SpRWLock, not in LockStats.
 void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
-              int sockets, int n, bool sharded, bool track_owners,
+              int sockets, int n, bool track_owners,
               std::uint64_t seed,
               const std::function<void(const std::string&)>& out,
               const std::function<void(const NumaRun&)>& observe) {
@@ -98,7 +82,7 @@ void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
   auto run = std::make_shared<NumaRun>();
   run->seed = seed;
   runner.submit(
-      [run, m, p, n, sockets, sharded, track_owners] {
+      [run, m, p, n, sockets, track_owners] {
         run->remote_cross = g_costs.remote_cross;
         htm::EngineConfig ec;
         ec.capacity = m.capacity_at(n);
@@ -108,10 +92,8 @@ void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
         ec.track_line_owners = track_owners;
         htm::Engine engine(ec);
         workloads::HashMap map = make_figure_map(p, n);
-        core::Config c =
+        const core::Config c =
             core::Config::variant(core::SchedulingVariant::kFull, n);
-        c.topology = ec.topology;
-        c.socket_sharded_tracking = sharded;
         // Cache-aligned for the same reason workload pools use
         // aligned_vector (common/aligned.h): Shared<> words embedded in
         // the lock are charged by address, and a stack frame's offset
@@ -131,13 +113,12 @@ void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
         run->scan_cycles = lock.commit_scan_cycles();
         run->scans = lock.commit_scan_count();
       },
-      [run, sharded, sockets, n, out, observe] {
+      [run, sockets, n, out, observe] {
         if (out) {
           const workloads::RunResult& r = run->run;
           const Breakdown b =
               make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-          const std::string name = std::string(sharded ? "sharded" : "flat") +
-                                   "/" + std::to_string(sockets) + "s";
+          const std::string name = "flat/" + std::to_string(sockets) + "s";
           out(format_series_row(name.c_str(), n, r.throughput_tx_s(), b,
                                 r.read_latency.mean(),
                                 r.write_latency.mean()));
@@ -146,21 +127,20 @@ void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
       });
 }
 
-/// Submits one BRAVO (sockets, table-layout, seed) run: the read-mostly
-/// hash-map workload under a bias-enabled SpRWLock whose ReaderTable is
-/// either one global slot array or per-socket shards
-/// (bravo::Config::shard_by_socket). The run inherits whatever
-/// g_costs.ownership is active when the batch executes — the caller owns
-/// setting/restoring the model around a drained batch.
+/// Submits one BRAVO (sockets, seed) run: the read-mostly hash-map workload
+/// under a bias-enabled SpRWLock whose ReaderTable follows the topology —
+/// one global slot array on one socket, per-socket shards on more. The run
+/// inherits whatever g_costs.ownership is active when the batch executes —
+/// the caller owns setting/restoring the model around a drained batch.
 void bravo_run(Runner& runner, const Machine& m, HashmapFigParams p,
-               int sockets, int n, bool sharded_table, std::uint64_t seed,
+               int sockets, int n, std::uint64_t seed,
                const std::function<void(const std::string&)>& out,
                const std::function<void(const NumaRun&)>& observe) {
   p.seed = seed;
   auto run = std::make_shared<NumaRun>();
   run->seed = seed;
   runner.submit(
-      [run, m, p, n, sockets, sharded_table] {
+      [run, m, p, n, sockets] {
         run->remote_cross = g_costs.remote_cross;
         htm::EngineConfig ec;
         ec.capacity = m.capacity_at(n);
@@ -173,11 +153,9 @@ void bravo_run(Runner& runner, const Machine& m, HashmapFigParams p,
         bravo::ReaderTable::Config bc;
         bc.max_threads = n;
         bc.topology = ec.topology;
-        bc.shard_by_socket = sharded_table;
         auto table = std::make_shared<bravo::ReaderTable>(bc);
         core::Config c =
             core::Config::variant(core::SchedulingVariant::kFull, n);
-        c.topology = ec.topology;
         c.reader_htm_first = false;
         c.bravo_bias = true;
         c.bravo_table = table;
@@ -199,14 +177,12 @@ void bravo_run(Runner& runner, const Machine& m, HashmapFigParams p,
         run->scan_cycles = lock.commit_scan_cycles();
         run->scans = lock.commit_scan_count();
       },
-      [run, sharded_table, sockets, n, out, observe] {
+      [run, sockets, n, out, observe] {
         if (out) {
           const workloads::RunResult& r = run->run;
           const Breakdown b =
               make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-          const std::string name =
-              std::string(sharded_table ? "bshard" : "bglob") + "/" +
-              std::to_string(sockets) + "s";
+          const std::string name = "bravo/" + std::to_string(sockets) + "s";
           out(format_series_row(name.c_str(), n, r.throughput_tx_s(), b,
                                 r.read_latency.mean(),
                                 r.write_latency.mean()));
@@ -242,15 +218,6 @@ void json_point(JsonWriter& j, const NumaPoint& pt) {
   j.end_object();
 }
 
-const NumaPoint* find(const std::vector<NumaPoint>& pts, int sockets,
-                      int threads, const char* lock) {
-  for (const NumaPoint& p : pts) {
-    if (p.sockets == sockets && p.threads == threads && p.lock == lock)
-      return &p;
-  }
-  return nullptr;
-}
-
 int run(int argc, char** argv) {
   const Args args = Args::parse(argc, argv, /*has_smoke=*/true);
   const bool smoke = args.smoke;
@@ -279,10 +246,10 @@ int run(int argc, char** argv) {
   {
     Runner runner(jobs);
     for (const int n : threads) {
-      numa_run(runner, m, p, 1, n, false, true, args.seed,
+      numa_run(runner, m, p, 1, n, true, args.seed,
                [&tracked_rows](const std::string& s) { tracked_rows += s; },
                {});
-      numa_run(runner, m, p, 1, n, false, false, args.seed,
+      numa_run(runner, m, p, 1, n, false, args.seed,
                [&plain_rows](const std::string& s) { plain_rows += s; }, {});
     }
     runner.drain();
@@ -293,26 +260,23 @@ int run(int argc, char** argv) {
   std::printf("1-socket tracked output identical to defaults: %s\n",
               identical ? "yes" : "NO — COST MODEL NOT A NO-OP");
 
-  // Main sweep: sockets x threads x {flat, sharded}, seed-averaged, at
-  // default costs.
+  // Main sweep: sockets x threads, seed-averaged, at default costs.
   std::vector<NumaPoint> points;
   // Observe lambdas capture &points.back(); reserve so emplace_back never
   // reallocates under them.
-  points.reserve(sockets.size() * threads.size() * 2);
+  points.reserve(sockets.size() * threads.size());
   {
     Runner runner(jobs);
     for (const int s : sockets) {
       for (const int n : threads) {
-        for (const bool sharded : {false, true}) {
-          points.emplace_back();
-          NumaPoint& pt = points.back();
-          pt.sockets = s;
-          pt.threads = n;
-          pt.lock = sharded ? "sharded" : "flat";
-          for (const std::uint64_t seed : seeds) {
-            numa_run(runner, m, p, s, n, sharded, true, seed, {},
-                     [&pt](const NumaRun& r) { pt.runs.push_back(r); });
-          }
+        points.emplace_back();
+        NumaPoint& pt = points.back();
+        pt.sockets = s;
+        pt.threads = n;
+        pt.lock = "flat";
+        for (const std::uint64_t seed : seeds) {
+          numa_run(runner, m, p, s, n, true, seed, {},
+                   [&pt](const NumaRun& r) { pt.runs.push_back(r); });
         }
       }
     }
@@ -326,63 +290,25 @@ int run(int argc, char** argv) {
                 pt.mean_scan_cycles_per_scan(), pt.mean_scan_cycles());
   }
 
-  // Sensitivity: the cross-socket transfer cost swept around its default.
-  // g_costs is process-global, so each value gets its own drained batch.
-  std::vector<NumaPoint> sens;
-  sens.reserve(6);
-  if (!smoke) {
-    const int sens_threads = 32;
-    const int sens_sockets = 2;
-    const std::uint64_t def = g_costs.remote_cross;
-    for (const std::uint64_t rc : {std::uint64_t{50}, std::uint64_t{100},
-                                   std::uint64_t{200}}) {
-      g_costs.remote_cross = rc;
-      Runner runner(jobs);
-      for (const bool sharded : {false, true}) {
-        sens.emplace_back();
-        NumaPoint& pt = sens.back();
-        pt.sockets = sens_sockets;
-        pt.threads = sens_threads;
-        pt.lock = sharded ? "sharded" : "flat";
-        for (const std::uint64_t seed : seeds) {
-          numa_run(runner, m, p, sens_sockets, sens_threads, sharded, true,
-                   seed, {}, [&pt](const NumaRun& r) { pt.runs.push_back(r); });
-        }
-      }
-      runner.drain();
-    }
-    g_costs.remote_cross = def;
-    std::printf("\nsensitivity (s=%d t=%d):\n", sens_sockets, sens_threads);
-    for (const NumaPoint& pt : sens) {
-      std::printf("remote_cross=%3llu %-8s | %12.4e | %14.1f\n",
-                  static_cast<unsigned long long>(pt.runs.front().remote_cross),
-                  pt.lock.c_str(), pt.mean_tx_s(),
-                  pt.mean_scan_cycles_per_scan());
-    }
-  }
-
-  // BRAVO table-layout sweep: {global, socket-sharded} ReaderTable ×
-  // {migratory, home-directory} ownership × sockets, read-mostly so the
-  // bias fast path (slot publish/clear) carries the traffic. The global
-  // table hashes every thread over one shared slot array, so at 2+ sockets
-  // its slot lines ping-pong across sockets under either ownership model;
-  // the sharded table confines each socket's readers to socket-local slot
-  // lines and the writer's drain to one summary line per clean shard.
-  // g_costs.ownership is process-global, so each model gets its own
-  // drained batch. The first-seed 1-socket rows are collected per model:
-  // home-directory prices only cross-socket sharing, so on one socket it
-  // must reproduce the migratory rows byte for byte.
+  // BRAVO sweep: {migratory, home-directory} ownership × sockets,
+  // read-mostly so the bias fast path (slot publish/clear) carries the
+  // traffic. On 2+ sockets the table is sharded, which confines each
+  // socket's readers to socket-local slot lines and the writer's drain to
+  // one summary line per clean shard. g_costs.ownership is process-global,
+  // so each model gets its own drained batch. The first-seed 1-socket rows
+  // are collected per model: home-directory prices only cross-socket
+  // sharing, so on one socket it must reproduce the migratory rows byte
+  // for byte.
   const int bt = smoke ? 8 : 32;
   HashmapFigParams bp = p;
   bp.update_ratio = 0.02;
-  // Short read sections (one lookup, ~8-node chains): the data-line cost is
-  // identical across table layouts, so shrinking it makes the slot-line
-  // traffic — the thing the layouts differ in — first-order instead of
+  // Short read sections (one lookup, ~8-node chains): shrinking the
+  // data-line cost makes the slot-line traffic first-order instead of
   // noise under the long-chain figure geometry.
   bp.lookups_per_read = 1;
   bp.buckets = 4096;
   std::vector<NumaPoint> bravo;
-  bravo.reserve(sockets.size() * 2 * 2);
+  bravo.reserve(sockets.size() * 2);
   std::string bravo_rows[2];  // [0]=migratory, [1]=home-directory, 1-socket
   {
     const CostModel::OwnershipModel def_model = g_costs.ownership;
@@ -393,20 +319,18 @@ int run(int argc, char** argv) {
       std::string* id_rows = &bravo_rows[mi];
       Runner runner(jobs);
       for (const int s : sockets) {
-        for (const bool sharded : {false, true}) {
-          bravo.emplace_back();
-          NumaPoint& pt = bravo.back();
-          pt.sockets = s;
-          pt.threads = bt;
-          pt.lock = sharded ? "bravo-sharded" : "bravo-global";
-          pt.model = model;
-          for (const std::uint64_t seed : seeds) {
-            std::function<void(const std::string&)> out;
-            if (s == 1 && seed == seeds.front())
-              out = [id_rows](const std::string& r) { *id_rows += r; };
-            bravo_run(runner, m, bp, s, bt, sharded, seed, out,
-                      [&pt](const NumaRun& r) { pt.runs.push_back(r); });
-          }
+        bravo.emplace_back();
+        NumaPoint& pt = bravo.back();
+        pt.sockets = s;
+        pt.threads = bt;
+        pt.lock = s > 1 ? "bravo-sharded" : "bravo-global";
+        pt.model = model;
+        for (const std::uint64_t seed : seeds) {
+          std::function<void(const std::string&)> out;
+          if (s == 1 && seed == seeds.front())
+            out = [id_rows](const std::string& r) { *id_rows += r; };
+          bravo_run(runner, m, bp, s, bt, seed, out,
+                    [&pt](const NumaRun& r) { pt.runs.push_back(r); });
         }
       }
       runner.drain();
@@ -423,46 +347,6 @@ int run(int argc, char** argv) {
   }
   std::printf("1-socket home-directory rows identical to migratory: %s\n",
               bravo_identity ? "yes" : "NO — MODEL NOT A 1-SOCKET NO-OP");
-  bool bravo_wins = true;
-  for (const NumaPoint& g : bravo) {
-    if (g.lock != "bravo-global" || g.sockets < 2) continue;
-    for (const NumaPoint& sh : bravo) {
-      if (sh.lock == "bravo-sharded" && sh.sockets == g.sockets &&
-          sh.model == g.model && sh.mean_tx_s() < g.mean_tx_s())
-        bravo_wins = false;
-    }
-  }
-  std::printf(
-      "sharded bravo beats global at >=2 sockets, both models:  %s\n",
-      bravo_wins ? "yes" : "no");
-
-  // Acceptance summary over the multi-socket points at 32+ threads. The
-  // scan-reduction check additionally requires ceil(threads/8) > sockets:
-  // when the flat scan covers every thread in no more lines than there are
-  // socket summaries, the two read sets tie by construction and there is
-  // nothing to reduce (e.g. 32 threads on 4 sockets: 4 lines either way).
-  bool scan_reduced = true;
-  bool crossover = true;
-  bool any_32t = false;
-  for (const int s : sockets) {
-    if (s < 2) continue;
-    for (const int n : threads) {
-      if (n < 32) continue;
-      const NumaPoint* flat = find(points, s, n, "flat");
-      const NumaPoint* shard = find(points, s, n, "sharded");
-      if (flat == nullptr || shard == nullptr) continue;
-      any_32t = true;
-      const int flat_lines = (n + 7) / 8;
-      if (flat_lines > s &&
-          shard->mean_scan_cycles() > flat->mean_scan_cycles())
-        scan_reduced = false;
-      if (shard->mean_tx_s() < flat->mean_tx_s()) crossover = false;
-    }
-  }
-  std::printf("\nsharded scan cheaper at >=2 sockets, 32+ threads: %s\n",
-              any_32t ? (scan_reduced ? "yes" : "no") : "n/a (smoke)");
-  std::printf("sharded beats flat at >=2 sockets, 32+ threads:   %s\n",
-              any_32t ? (crossover ? "yes" : "no") : "n/a (smoke)");
 
   JsonWriter j;
   j.begin_object();
@@ -481,23 +365,17 @@ int run(int argc, char** argv) {
   j.key("points").begin_array();
   for (const NumaPoint& pt : points) json_point(j, pt);
   j.end_array();
-  j.key("sensitivity").begin_array();
-  for (const NumaPoint& pt : sens) json_point(j, pt);
-  j.end_array();
   j.key("bravo_points").begin_array();
   for (const NumaPoint& pt : bravo) json_point(j, pt);
   j.end_array();
-  j.key("scan_reduced_at_multi_socket").value(any_32t ? scan_reduced : true);
-  j.key("sharded_beats_flat_at_32t").value(any_32t ? crossover : true);
   j.key("bravo_identity_1socket").value(bravo_identity);
-  j.key("bravo_sharded_beats_global").value(bravo_wins);
   j.end_object();
   if (!j.write_file("BENCH_numa.json")) {
     std::fprintf(stderr, "failed to write BENCH_numa.json\n");
     return 2;
   }
   std::printf("wrote BENCH_numa.json\n");
-  return identical && bravo_identity && bravo_wins ? 0 : 1;
+  return identical && bravo_identity ? 0 : 1;
 }
 
 }  // namespace

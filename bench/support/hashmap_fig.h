@@ -163,11 +163,10 @@ inline auto make_rwle() {
   };
 }
 inline auto make_sprwl(core::SchedulingVariant v = core::SchedulingVariant::kFull,
-                       bool use_snzi = false, bool batched_scan = true) {
-  return [v, use_snzi, batched_scan](int n) {
+                       bool use_snzi = false) {
+  return [v, use_snzi](int n) {
     core::Config c = core::Config::variant(v, n);
     c.use_snzi = use_snzi;
-    c.batched_reader_scan = batched_scan;
     return std::make_unique<core::SpRWLock>(c);
   };
 }

@@ -19,16 +19,6 @@ core::Config sprwl_cfg(const Workload& w) {
   return core::Config::variant(core::SchedulingVariant::kFull, w.threads);
 }
 
-core::Config sharded_cfg(const Workload& w) {
-  core::Config c = sprwl_cfg(w);
-  // Split the checker threads over two simulated sockets so the sharded
-  // scan really reads two summaries (one socket would degenerate to a
-  // single-word scan, hiding cross-shard interleavings from the checker).
-  c.socket_sharded_tracking = true;
-  c.topology = sim::Topology::split(w.threads, 2);
-  return c;
-}
-
 core::Config bravo_cfg(const Workload& w, std::size_t slots) {
   core::Config c = sprwl_cfg(w);
   c.bravo_bias = true;
@@ -59,7 +49,6 @@ core::Config bravo_numa_cfg(const Workload& w, std::size_t per_shard_slots) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = w.threads;
   tc.slots = per_shard_slots;
-  tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(w.threads, 2);
   c.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
   return c;
@@ -76,7 +65,7 @@ RunFn bind(const Workload& w, MakeLock make_lock) {
 
 std::vector<std::string> checked_locks() {
   return {"SpRWL",  "SpRWL-unins", "SpRWL-vsgl", "SpRWL-snzi",
-          "SpRWL-sharded", "SpRWL-bravo", "SpRWL-bravo-numa",
+          "SpRWL-bravo", "SpRWL-bravo-numa",
           "SpRWL-timeout", "SpRWL-mvcc", "SpRWL-lease",
           "TLE",    "RW-LE",       "RWL",        "BRLock",
           "PhaseFair", "MCS-RW",   "PRWL"};
@@ -150,9 +139,6 @@ RunFn make_runner(const std::string& name, const Workload& w) {
       return core::SpRWLock(c);
     });
   }
-  if (name == "SpRWL-sharded") {
-    return bind(w, [w] { return core::SpRWLock(sharded_cfg(w)); });
-  }
   if (name == "SpRWL-bravo") {
     // Global reader bias over an 8-slot (single-line) shared table; the
     // bias starts on, so the checker drives the full fast-path/revocation/
@@ -169,7 +155,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     return bind(w, [w] {
       core::Config c = bravo_cfg(w, 1);
       c.reader_htm_first = false;
-      c.broken_revoke_skip_last_slot = true;
+      c.sabotage = core::Sabotage::kDrainSkipsLastSlot;
       return core::SpRWLock(c);
     });
   }
@@ -188,7 +174,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     // 0). Accepted by make_runner only, never listed as healthy.
     return bind(w, [w] {
       core::Config c = bravo_numa_cfg(w, 1);
-      c.broken_revoke_skip_shard = 0;
+      c.sabotage = core::Sabotage::kDrainSkipsShard0;
       return core::SpRWLock(c);
     });
   }
@@ -222,7 +208,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     return bind(tw, [tw] {
       core::Config c = bravo_cfg(tw, 1);
       c.reader_htm_first = false;
-      c.broken_timeout_skip_slot_release = true;
+      c.sabotage = core::Sabotage::kTimeoutLeaksSlot;
       return core::SpRWLock(c);
     });
   }
@@ -260,18 +246,6 @@ RunFn make_runner(const std::string& name, const Workload& w) {
       return dist::LeasedLock(c);
     });
   }
-  if (name == "SpRWL-sharded-broken") {
-    // The broken-scan self-validation under the hierarchical layout: the
-    // writer's commit scan skips the socket summary owning reader tid 0,
-    // so it can commit over that whole socket's live readers. Accepted by
-    // make_runner only (like SpRWL-broken); never listed as healthy.
-    return bind(w, [w] {
-      core::Config c = sharded_cfg(w);
-      c.reader_htm_first = false;
-      c.broken_scan_skip_tid = 0;
-      return core::SpRWLock(c);
-    });
-  }
   if (name == broken_lock_name()) {
     // Uninstrumented readers + a commit scan that skips reader tid 0: a
     // writer can commit all cells while that reader is mid-snapshot. The
@@ -279,7 +253,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     return bind(w, [w] {
       core::Config c = sprwl_cfg(w);
       c.reader_htm_first = false;
-      c.broken_scan_skip_tid = 0;
+      c.sabotage = core::Sabotage::kScanSkipsTid0;
       return core::SpRWLock(c);
     });
   }

@@ -13,10 +13,11 @@ namespace sprwl::check {
 
 /// Production lock names, in display order: SpRWL (kFull), SpRWL-unins
 /// (uninstrumented readers), SpRWL-vsgl (versioned SGL), SpRWL-snzi,
-/// SpRWL-sharded (per-socket tracking), SpRWL-bravo (global reader bias),
-/// SpRWL-timeout (deadline-aware reads over the bravo fast path),
-/// SpRWL-mvcc (snapshot-isolation readers over a version-retaining engine,
-/// judged by the SI spec), TLE, RW-LE, RWL (POSIX-style), BRLock,
+/// SpRWL-bravo (global reader bias), SpRWL-bravo-numa (bias over a
+/// socket-sharded reader table), SpRWL-timeout (deadline-aware reads over
+/// the bravo fast path), SpRWL-mvcc (snapshot-isolation readers over a
+/// version-retaining engine, judged by the SI spec), SpRWL-lease (the
+/// distributed lease tier), TLE, RW-LE, RWL (POSIX-style), BRLock,
 /// PhaseFair, MCS-RW, PRWL.
 std::vector<std::string> checked_locks();
 
@@ -25,9 +26,10 @@ std::vector<std::string> checked_locks();
 /// self-validation tests and `check_schedules --lock SpRWL-broken` use it
 /// to prove the pipeline catches a real atomicity bug. The other
 /// make_runner-only broken variants follow the same convention:
-/// "SpRWL-sharded-broken", "SpRWL-bravo-broken", "SpRWL-timeout-broken"
-/// (timeout unwind leaks its ReaderTable slot), and "SpRWL-mvcc-broken"
-/// (snapshot lookup blinded: pinned readers observe too-new values).
+/// "SpRWL-bravo-broken", "SpRWL-bravo-numa-broken", "SpRWL-timeout-broken"
+/// (each sets one core::Sabotage), "SpRWL-mvcc-broken" (snapshot lookup
+/// blinded: pinned readers observe too-new values) and "SpRWL-lease-broken"
+/// (reads skip re-validation).
 inline const char* broken_lock_name() noexcept { return "SpRWL-broken"; }
 
 /// Builds a runner executing `w` over a fresh instance of the named lock

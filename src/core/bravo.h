@@ -21,13 +21,14 @@
 // runs would be irreproducible. slot_of() mixes (lock id, tid) so that one
 // lock's readers spread over the table and one thread's locks do too.
 //
-// NUMA variant (Config::shard_by_socket — BRAVO's own per-node tables): the
-// table becomes one cache-aligned slot shard per socket, each sized from
-// that socket's core count, and slot_of() hashes (lock, tid) *within the
-// acquirer's socket's shard* — a biased reader only ever touches lines of
-// its own socket. Each shard additionally maintains an occupancy summary:
-// one word PER THREAD of the socket, packed into the shard's own summary
-// line(s), that is STICKY with amortized clears. The thread's first
+// NUMA layout (BRAVO's own per-node tables), taken whenever the topology
+// has more than one socket: the table is one cache-aligned slot shard per
+// socket, each sized from that socket's core count, and slot_of() hashes
+// (lock, tid) *within the acquirer's socket's shard* — a biased reader
+// only ever touches lines of its own socket. Each shard additionally
+// maintains an occupancy summary: one word PER THREAD of the socket,
+// packed into the shard's own summary line(s), that is STICKY with
+// amortized clears. The thread's first
 // registration stores 1 (a plain strong-isolation store, before the
 // caller's Dekker fence); the word then stays raised — tracked by a
 // thread-private mirror, so steady-state registrations touch no summary
@@ -62,6 +63,7 @@
 #include "common/aligned.h"
 #include "common/cacheline.h"
 #include "common/platform.h"
+#include "core/sabotage.h"
 #include "htm/line_set.h"
 #include "htm/shared.h"
 #include "sim/topology.h"
@@ -76,23 +78,21 @@ class ReaderTable {
     /// (collisions) stay rare.
     int max_threads = 64;
     int slots_per_thread = 4;
-    /// Machine shape; a table sized for more cores than max_threads keeps
-    /// collision rates flat when the run oversubscribes sockets.
+    /// Machine shape. One socket: a single global slot array, sized for
+    /// max(sockets × cores_per_socket, max_threads) threads so collision
+    /// rates stay flat when the run oversubscribes. More than one socket:
+    /// one slot shard per socket (slots_per_thread slots per core of the
+    /// shard's socket, each shard starting on its own cache line), plus
+    /// per-shard occupancy-summary lines (one word per resident thread,
+    /// written on registration transitions only) the revocation drain
+    /// reads first.
     sim::Topology topology{};
     /// Explicit slot count override; 0 = auto from the fields above. Tests
     /// and the checker force tiny tables (down to 1 slot) to make collision
-    /// and revocation interleavings reachable. With shard_by_socket this is
+    /// and revocation interleavings reachable. On a sharded table this is
     /// the slot count *per shard*.
     std::size_t slots = 0;
-    /// NUMA sharding: one slot shard per topology socket, each sized from
-    /// sockets × cores_per_socket (slots_per_thread slots per core of the
-    /// shard's socket) and starting on its own cache line, plus per-shard
-    /// occupancy-summary lines (one word per resident thread, written on
-    /// registration transitions only) the revocation drain reads first.
-    /// Off by default — the global table's layout, costs and traces are
-    /// untouched.
-    bool shard_by_socket = false;
-    /// Sticky-summary clear cadence (shard_by_socket only): a thread's
+    /// Sticky-summary clear cadence (sharded tables only): a thread's
     /// summary word is cleared on every Nth outermost release and
     /// re-published on the next registration, so steady-state reads pay
     /// no summary stores at all (2 x (store + line_publish) / N cycles
@@ -107,26 +107,21 @@ class ReaderTable {
   static constexpr std::size_t kSlotsPerLine = 8;
 
   explicit ReaderTable(Config cfg) : cfg_(cfg) {
-    if (cfg.shard_by_socket) {
-      shards_ = cfg.topology.sockets < 1 ? 1 : cfg.topology.sockets;
+    if (cfg.topology.sockets > 1) {
+      shards_ = cfg.topology.sockets;
       std::size_t per_shard = cfg.slots;
       if (per_shard == 0) {
         // Per-shard sizing comes from the shard's own core count, not the
         // global one: a shard only ever hosts its socket's readers.
-        if (cfg.topology.sockets > 1 && cfg.topology.cores_per_socket < 1) {
+        if (cfg.topology.cores_per_socket < 1) {
           throw std::invalid_argument(
-              "ReaderTable: shard_by_socket with >1 socket requires "
+              "ReaderTable: a >1-socket topology requires "
               "cores_per_socket >= 1 (shard would be empty)");
         }
-        const int cores = cfg.topology.cores_per_socket >= 1
-                              ? cfg.topology.cores_per_socket
-                              : (cfg.max_threads < 1 ? 1 : cfg.max_threads);
-        per_shard = static_cast<std::size_t>(cores) *
+        per_shard = static_cast<std::size_t>(cfg.topology.cores_per_socket) *
                     static_cast<std::size_t>(
                         cfg.slots_per_thread < 1 ? 1 : cfg.slots_per_thread);
       }
-      if (per_shard == 0)
-        throw std::invalid_argument("ReaderTable: empty shard");
       shard_slots_ = per_shard;
       shard_stride_ =
           (per_shard + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
@@ -179,8 +174,8 @@ class ReaderTable {
     return next_lock_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// True when the table is socket-sharded (Config::shard_by_socket).
-  bool sharded() const noexcept { return cfg_.shard_by_socket; }
+  /// True when the table is socket-sharded (topology.sockets > 1).
+  bool sharded() const noexcept { return shards_ > 1; }
   int shard_count() const noexcept { return shards_; }
   /// Logical slots per shard (= the whole table when not sharded).
   std::size_t shard_slots() const noexcept { return shard_slots_; }
@@ -189,14 +184,14 @@ class ReaderTable {
   /// the last socket wrap (Topology::socket_of), so oversubscription stays
   /// valid.
   int shard_of_tid(int tid) const noexcept {
-    return cfg_.shard_by_socket ? cfg_.topology.socket_of(tid) % shards_ : 0;
+    return sharded() ? cfg_.topology.socket_of(tid) % shards_ : 0;
   }
 
   /// Shard owning a slot index. release() uses this, NOT the releasing
   /// thread's current socket: a reader that migrated between occupy and
   /// release must decrement the summary of the shard it registered in.
   int shard_of_slot(std::size_t slot) const noexcept {
-    return cfg_.shard_by_socket ? static_cast<int>(slot / shard_stride_) : 0;
+    return sharded() ? static_cast<int>(slot / shard_stride_) : 0;
   }
 
   std::size_t slot_of(std::uint32_t lock_id, int tid) const noexcept {
@@ -204,7 +199,7 @@ class ReaderTable {
         (static_cast<std::uint64_t>(lock_id) << 32) |
         static_cast<std::uint32_t>(tid);
     const std::uint64_t h = htm::detail::mix64(key);
-    if (cfg_.shard_by_socket) {
+    if (sharded()) {
       const int shard = shard_of_tid(tid);
       return static_cast<std::size_t>(shard) * shard_stride_ +
              static_cast<std::size_t>(h) % shard_slots_;
@@ -228,7 +223,7 @@ class ReaderTable {
   /// ignores it.
   bool occupy(std::size_t slot, std::uint32_t lock_id, int tid) {
     if (!slots_[slot].cas(0, tag_of(lock_id))) return false;
-    if (cfg_.shard_by_socket) {
+    if (sharded()) {
       ThreadState& st = priv_[static_cast<std::size_t>(tid)];
       ++st.depth;
       if (!st.published) {
@@ -248,7 +243,7 @@ class ReaderTable {
   /// clean while a registration of its shard is live.
   void release(std::size_t slot, int tid) {
     slots_[slot].store(0);
-    if (cfg_.shard_by_socket) {
+    if (sharded()) {
       ThreadState& st = priv_[static_cast<std::size_t>(tid)];
       if (st.depth > 0 && --st.depth == 0) {
         const std::uint32_t period =
@@ -272,14 +267,10 @@ class ReaderTable {
   /// to 8 resident threads) — the drain is O(sockets) when remote shards
   /// are clean.
   ///
-  /// `skip_last_slot` is the deliberately broken variant the DFS checker
-  /// must catch (ISSUE 6): the drain ignores the table's last slot, so a
-  /// fast-path reader parked there survives revocation and a writer can
-  /// commit over it. Global-table layout only.
-  ///
-  /// `broken_skip_shard` is the sharded-table analogue (ISSUE 10): the
-  /// drain skips that shard's summary — and with it the whole shard — so a
-  /// reader parked on that (remote) socket survives revocation. -1 = off.
+  /// `sabotage` is the checker's deliberately broken drain (see
+  /// core/sabotage.h): kDrainSkipsLastSlot ignores the global table's last
+  /// slot, kDrainSkipsShard0 skips shard 0's summary and with it the whole
+  /// shard. Either lets a parked fast-path reader survive revocation.
   ///
   /// `deadline` is an absolute virtual time (~0 = none): the drain gives
   /// up and returns false the moment it passes, leaving whatever slots it
@@ -294,13 +285,13 @@ class ReaderTable {
   /// shard_cycles[sh * shard_cycles_stride] (in units of std::uint64_t):
   /// the stride lets the caller keep its per-shard scratch interleaved
   /// with other per-shard telemetry in one allocation.
-  bool wait_for_readers_of(std::uint32_t lock_id, bool skip_last_slot = false,
+  bool wait_for_readers_of(std::uint32_t lock_id,
                            std::uint64_t deadline = ~std::uint64_t{0},
-                           int broken_skip_shard = -1,
+                           core::Sabotage sabotage = core::Sabotage::kNone,
                            std::uint64_t* shard_cycles = nullptr,
                            std::size_t shard_cycles_stride = 1) {
     const std::uint64_t tag = tag_of(lock_id);
-    if (cfg_.shard_by_socket) {
+    if (sharded()) {
       for (int sh = 0; sh < shards_; ++sh) {
         std::uint64_t* cyc =
             shard_cycles == nullptr
@@ -308,7 +299,9 @@ class ReaderTable {
                 : shard_cycles + static_cast<std::size_t>(sh) *
                                      shard_cycles_stride;
         if (cyc != nullptr) *cyc = 0;
-        if (sh == broken_skip_shard) continue;  // checker-only blindness
+        if (sh == 0 && sabotage == core::Sabotage::kDrainSkipsShard0) {
+          continue;  // checker-only blindness
+        }
         const std::uint64_t t0 = platform::now();
         const std::size_t base = static_cast<std::size_t>(sh) * shard_stride_;
         // Line-OR the shard's occupancy summary — one load per summary
@@ -334,7 +327,8 @@ class ReaderTable {
       }
       return true;
     }
-    const std::size_t limit = slots_.size() - (skip_last_slot ? 1 : 0);
+    const bool skip_last = sabotage == core::Sabotage::kDrainSkipsLastSlot;
+    const std::size_t limit = slots_.size() - (skip_last ? 1 : 0);
     return drain_range(0, limit, tag, deadline);
   }
 
@@ -359,7 +353,7 @@ class ReaderTable {
   /// per-thread words — an upper bound on the threads registered there
   /// (tests; sharded tables only; exact with summary_clear_period = 1).
   std::uint64_t summary_raw(int shard) const noexcept {
-    if (!cfg_.shard_by_socket) return 0;
+    if (!sharded()) return 0;
     const std::size_t sb = static_cast<std::size_t>(shard) * summary_stride_;
     std::uint64_t n = 0;
     for (std::size_t w = 0; w < summary_stride_; ++w)
@@ -411,7 +405,7 @@ class ReaderTable {
   /// word and no two threads ever store to the same one.
   std::size_t local_index(int tid) const noexcept {
     const int cps = cfg_.topology.cores_per_socket;
-    if (shards_ <= 1 || cps < 1) return static_cast<std::size_t>(tid);
+    if (cps < 1) return static_cast<std::size_t>(tid);
     return static_cast<std::size_t>(tid / (cps * shards_)) *
                static_cast<std::size_t>(cps) +
            static_cast<std::size_t>(tid % cps);

@@ -48,7 +48,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -64,13 +63,13 @@
 #include "common/scope_exit.h"
 #include "common/trace.h"
 #include "core/bravo.h"
+#include "core/sabotage.h"
 #include "fault/fault.h"
 #include "htm/engine.h"
 #include "htm/shared.h"
 #include "locks/deadline.h"
 #include "locks/sgl.h"
 #include "locks/stats.h"
-#include "sim/topology.h"
 #include "snzi/snzi.h"
 
 namespace sprwl::core {
@@ -94,37 +93,11 @@ struct Config {
   bool reader_htm_first = true;
   bool use_snzi = false;
   bool versioned_sgl = false;
-  /// Commit-time reader scan granularity (non-SNZI path): batched reads the
-  /// 64-byte-aligned state array one cache line (8 flags) at a time with an
-  /// OR-summary early exit, so a writer's commit check costs ceil(T/8)
-  /// transactional line reads instead of T word reads. Conflict detection
-  /// is line-granular either way, so the strong-isolation store/abort
-  /// contract is unchanged; false restores the linear per-word scan (the
-  /// ablation baseline in bench/ablation_cost_model).
-  bool batched_reader_scan = true;
   /// δ as a fraction of the writer's expected duration (paper default 1/2).
   double delta_fraction = 0.5;
   /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
   /// leaves (bounded contention per leaf, logarithmic update cost).
   int snzi_levels = 0;
-  /// Topology-aware hierarchical reader tracking (DESIGN.md §11): shard the
-  /// flags plane per socket. Readers keep their per-thread flag but the
-  /// flag slots are laid out socket-major with per-socket line padding (a
-  /// reader's flag store only ever touches a socket-local line), and each
-  /// socket additionally maintains a one-word reader count on its own cache
-  /// line. The writer's commit-time scan then transactionally reads the S
-  /// socket summaries instead of ceil(T/8) flag lines — a smaller
-  /// transactional read set AND fewer cross-socket line pulls per commit
-  /// attempt. Any reader arrival still bumps a subscribed summary line, so
-  /// the scan aborts on exactly the same interleavings as the flat layouts
-  /// (the safety argument is unchanged; the checker registers this as the
-  /// "SpRWL-sharded" variant). When use_snzi is also set the SNZI tree
-  /// replaces the summaries as the commit-time check. Off = flat layouts.
-  bool socket_sharded_tracking = false;
-  /// The machine shape the sharding follows (socket-major dense tids, like
-  /// sim::SimConfig::topology). The 1-socket default degenerates to one
-  /// shard: a single summary word in front of the flat flags.
-  sim::Topology topology{};
 
   // --- BRAVO global reader bias (DESIGN.md §12) ---------------------------
   /// Route readers through the process-global bravo_table while this lock's
@@ -179,28 +152,9 @@ struct Config {
   /// cascade the whole writer population onto it.
   bool lemming_avoidance = true;
 
-  /// Checker self-validation ONLY (tests/check): when >= 0, the writer's
-  /// commit-time reader scan falls back to the per-word loop and skips this
-  /// tid in addition to the writer's own — a deliberately broken scan that
-  /// lets a writer commit over a live reader. The systematic checker must
-  /// catch the resulting atomicity violation; never set in production.
-  int broken_scan_skip_tid = -1;
-  /// Checker self-validation ONLY: the bravo revocation drain ignores the
-  /// global table's last slot, so a fast-path reader parked there survives
-  /// revocation and a writer can commit over it. Never set in production.
-  bool broken_revoke_skip_last_slot = false;
-  /// Checker self-validation ONLY: a timed fast-path reader that expires
-  /// after occupying its bravo slot "forgets" to release it — the leaked
-  /// slot makes every later revocation drain spin forever, which the
-  /// checker must report as livelock. Never set in production.
-  bool broken_timeout_skip_slot_release = false;
-  /// Checker self-validation ONLY (socket-sharded bravo tables): the
-  /// revocation drain skips this shard entirely — summary and slots — so a
-  /// fast-path reader registered on that (remote) socket survives
-  /// revocation and a writer can commit over it. The systematic checker
-  /// must catch the resulting atomicity violation. -1 = off; never set in
-  /// production.
-  int broken_revoke_skip_shard = -1;
+  /// Checker self-validation ONLY (tests/check, core/sabotage.h): one
+  /// deliberately broken protocol step. Never set in production.
+  Sabotage sabotage = Sabotage::kNone;
 
   // --- fixed tuning (no workload varies these) ----------------------------
   /// HTM attempts for the optimistic reader path (§3.4).
@@ -244,20 +198,7 @@ class SpRWLock {
   static constexpr std::uint8_t kCodeLockBusy = 0x01;
   static constexpr std::uint8_t kCodeReader = 0x02;
 
-  explicit SpRWLock(Config cfg)
-      : cfg_(std::move(cfg)),
-        sharded_(cfg_.socket_sharded_tracking),
-        sockets_(sharded_ ? std::max(cfg_.topology.sockets, 1) : 1),
-        socket_stride_(sharded_ ? round_to_line(slots_per_socket(cfg_))
-                                : static_cast<std::size_t>(cfg_.max_threads)) {
-    if (sharded_ && sockets_ > 1 &&
-        (cfg_.topology.cores_per_socket <= 0 ||
-         sockets_ * cfg_.topology.cores_per_socket < cfg_.max_threads)) {
-      // An undersized topology would wrap two tids onto one flag slot.
-      throw std::invalid_argument(
-          "SpRWLock: socket_sharded_tracking needs sockets * "
-          "cores_per_socket >= max_threads (see sim::Topology::split)");
-    }
+  explicit SpRWLock(Config cfg) : cfg_(std::move(cfg)) {
     if (cfg_.bravo_bias) {
       if (cfg_.bravo_table == nullptr) {
         throw std::invalid_argument(
@@ -297,8 +238,7 @@ class SpRWLock {
   /// Virtual cycles spent in commit-time reader scans that ran to
   /// completion without finding a reader (a scan that finds one returns
   /// the abort before the sample is taken), and how many such scans there
-  /// were. The NUMA bench divides them to show the sharded scan's smaller
-  /// read set.
+  /// were. The NUMA bench reports their ratio per point.
   std::uint64_t commit_scan_cycles() const {
     const Plane* p = plane_peek();
     if (p == nullptr) return 0;
@@ -530,8 +470,7 @@ class SpRWLock {
   template <class F>
   locks::AcquireResult write_impl(int cs_id, std::uint64_t deadline, F&& f) {
     const int tid = checked_tid();
-    htm::Engine* engine = htm::Engine::current();
-    assert(engine != nullptr && "SpRWL requires an installed htm::Engine");
+    htm::Engine* engine = &htm::Engine::require("SpRWLock::write");
 
     if (cfg_.bravo_bias) {
       reader_streak_.store(0, std::memory_order_relaxed);
@@ -549,11 +488,11 @@ class SpRWLock {
       wp->clock_w_[static_cast<std::size_t>(tid)]->store(
           platform::now() + write_estimate(*wp, cs_id),
           std::memory_order_relaxed);
-      wp->state_[state_slot(tid)].store(kWriter);
+      wp->state_[static_cast<std::size_t>(tid)].store(kWriter);
       htm::memory_fence();
     }
     ScopeExit clear_flag([&] {
-      if (flagged) wp->state_[state_slot(tid)].store(kIdle);
+      if (flagged) wp->state_[static_cast<std::size_t>(tid)].store(kIdle);
     });
     fault::checkpoint(fault::InjectPoint::kWriteEnter, this);
 
@@ -795,20 +734,17 @@ class SpRWLock {
   bool has_plane() const noexcept { return plane_peek() != nullptr; }
 
   /// Raw (uncharged) view of every per-lock reader-tracking structure at
-  /// quiesce: no flag raised, no socket count pending, no SNZI arrival
-  /// without its depart. The cancellation-unwind chaos tests assert this
-  /// after timed readers raced preemptions and abort storms — a phantom
-  /// reader left by an abandoned acquisition shows up here. Bravo table
-  /// slots are global state; assert those through ReaderTable directly.
+  /// quiesce: no flag raised, no SNZI arrival without its depart. The
+  /// cancellation-unwind chaos tests assert this after timed readers raced
+  /// preemptions and abort storms — a phantom reader left by an abandoned
+  /// acquisition shows up here. Bravo table slots are global state; assert
+  /// those through ReaderTable directly.
   bool tracking_quiescent() const {
     const Plane* p = plane_peek();
     if (p == nullptr) return true;
     if (p->snzi_ != nullptr && p->snzi_->root_count_raw() != 0) return false;
     for (const auto& s : p->state_) {
       if (s.raw_load() == kReader) return false;
-    }
-    for (const auto& c : p->socket_count_) {
-      if (c.raw_load() != 0) return false;
     }
     return true;
   }
@@ -857,12 +793,8 @@ class SpRWLock {
   /// and the engine assigns line ids on first *access*, so lazy
   /// allocation is bit-identical to eager allocation.
   struct Plane {
-    Plane(const Config& cfg, bool sharded, int sockets, std::size_t stride)
-        : state_(sharded ? static_cast<std::size_t>(sockets) * stride
-                         : static_cast<std::size_t>(cfg.max_threads)),
-          socket_count_(sharded
-                            ? static_cast<std::size_t>(sockets) * kFlagsPerLine
-                            : 0),
+    explicit Plane(const Config& cfg)
+        : state_(static_cast<std::size_t>(cfg.max_threads)),
           clock_w_(static_cast<std::size_t>(cfg.max_threads)),
           clock_r_(static_cast<std::size_t>(cfg.max_threads)),
           waiting_for_(static_cast<std::size_t>(cfg.max_threads)),
@@ -892,7 +824,6 @@ class SpRWLock {
     std::size_t bytes() const {
       std::size_t b = sizeof(Plane);
       b += state_.capacity() * sizeof(htm::Shared<std::uint64_t>);
-      b += socket_count_.capacity() * sizeof(htm::Shared<std::uint64_t>);
       b += clock_w_.capacity() *
            sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
       b += clock_r_.capacity() *
@@ -910,13 +841,8 @@ class SpRWLock {
     // Packed like the paper's state[N] array: a writer's commit-time scan
     // touches ~N/8 lines (it must fit HTM capacity), at the price that one
     // reader's flag store invalidates the whole line of 8 flags — the
-    // trade-off the SNZI variant (one root word) removes. In sharded mode
-    // the slots are laid out socket-major with per-socket line padding (see
-    // state_slot) and the scan moves to socket_count_.
+    // trade-off the SNZI variant (one root word) removes.
     aligned_vector<htm::Shared<std::uint64_t>> state_;
-    // Sharded mode: per-socket reader counts, one line (kFlagsPerLine
-    // words) per socket, count in word 0. Empty in flat mode.
-    aligned_vector<htm::Shared<std::uint64_t>> socket_count_;
     std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_w_;
     std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_r_;
     std::vector<CacheLinePadded<std::atomic<int>>> waiting_for_;
@@ -935,20 +861,6 @@ class SpRWLock {
     return static_cast<std::size_t>(cs_id) % kEmaSlots;
   }
 
-  static std::size_t round_to_line(std::size_t slots) noexcept {
-    return (slots + kFlagsPerLine - 1) / kFlagsPerLine * kFlagsPerLine;
-  }
-
-  /// Flag slots one socket's shard needs. A topology without an explicit
-  /// cores_per_socket puts every thread on socket 0, so the single shard
-  /// must hold them all.
-  static std::size_t slots_per_socket(const Config& cfg) noexcept {
-    const int cps = cfg.topology.cores_per_socket;
-    if (cfg.topology.sockets <= 1 || cps <= 0)
-      return static_cast<std::size_t>(cfg.max_threads);
-    return static_cast<std::size_t>(cps);
-  }
-
   Plane* plane_peek() const noexcept {
     return plane_.load(std::memory_order_acquire);
   }
@@ -960,8 +872,7 @@ class SpRWLock {
   }
 
   Plane& install_plane() {
-    auto fresh =
-        std::make_unique<Plane>(cfg_, sharded_, sockets_, socket_stride_);
+    auto fresh = std::make_unique<Plane>(cfg_);
     Plane* expected = nullptr;
     if (plane_.compare_exchange_strong(expected, fresh.get(),
                                        std::memory_order_acq_rel,
@@ -996,38 +907,6 @@ class SpRWLock {
           "(sim::Simulator / ThreadIdScope)");
     }
     return tid;
-  }
-
-  /// Flag-slot index of `tid`. Flat: the dense tid. Sharded: socket-major
-  /// with each socket's shard padded to cache-line granularity, so a
-  /// reader's flag store never touches another socket's line.
-  std::size_t state_slot(int tid) const noexcept {
-    if (!sharded_) return static_cast<std::size_t>(tid);
-    const int cps = cfg_.topology.cores_per_socket;
-    const std::size_t local =
-        cps > 0 ? static_cast<std::size_t>(tid % cps) : static_cast<std::size_t>(tid);
-    return static_cast<std::size_t>(cfg_.topology.socket_of(tid)) *
-               socket_stride_ +
-           local;
-  }
-
-  /// Index of socket `s`'s summary word (each summary owns a full line).
-  std::size_t socket_word(int s) const noexcept {
-    return static_cast<std::size_t>(s) * kFlagsPerLine;
-  }
-
-  /// SNZI-style per-socket reader count: the zero/non-zero state of socket
-  /// s's readers in one word on socket s's own line. A strong-isolation CAS
-  /// loop — the arrival's version bump on this line is what aborts any
-  /// writer whose commit scan already subscribed it.
-  void socket_count_update(Plane& p, int tid, std::int64_t delta) {
-    htm::Shared<std::uint64_t>& c =
-        p.socket_count_[socket_word(cfg_.topology.socket_of(tid))];
-    for (;;) {
-      const std::uint64_t v = c.load();
-      if (c.cas(v, v + static_cast<std::uint64_t>(delta))) return;
-      platform::pause();
-    }
   }
 
   std::uint64_t read_estimate(Plane& p, int cs_id) const {
@@ -1080,9 +959,11 @@ class SpRWLock {
     if (locks::deadline_expired(deadline)) {
       // Expired while parked at the checkpoint (the chaos preemption
       // window). The slot is published, so the unwind MUST release it — a
-      // leaked slot wedges every later revocation drain. The broken flag
+      // leaked slot wedges every later revocation drain. The sabotage
       // skips exactly this release for the checker's self-validation.
-      if (!cfg_.broken_timeout_skip_slot_release) table.release(slot, tid);
+      if (cfg_.sabotage != Sabotage::kTimeoutLeaksSlot) {
+        table.release(slot, tid);
+      }
       return BiasRead::kTimeout;
     }
     trace::emit(trace::Event::kReadBiasEnter);
@@ -1120,8 +1001,7 @@ class SpRWLock {
         std::uint64_t* cycles =
             shard_revoke_ != nullptr ? &shard_revoke_[0].scratch : nullptr;
         if (!cfg_.bravo_table->wait_for_readers_of(
-                lock_id_, cfg_.broken_revoke_skip_last_slot, deadline,
-                cfg_.broken_revoke_skip_shard, cycles,
+                lock_id_, deadline, cfg_.sabotage, cycles,
                 sizeof(ShardRevoke) / sizeof(std::uint64_t))) {
           bias_.store(kBiasOn);  // re-arm: drain incomplete
           trace::emit(trace::Event::kBiasRevokeAbandoned);
@@ -1226,8 +1106,9 @@ class SpRWLock {
     if (cfg_.use_snzi) {
       p.snzi_->arrive(tid);
     } else {
-      p.state_[state_slot(tid)].store(kReader);  // strong isolation
-      if (sharded_) socket_count_update(p, tid, +1);
+      // Strong isolation: the store aborts any writer whose commit scan
+      // already subscribed this flag line.
+      p.state_[static_cast<std::size_t>(tid)].store(kReader);
     }
     htm::memory_fence();  // flag must be visible before the section's reads
   }
@@ -1236,8 +1117,7 @@ class SpRWLock {
     if (cfg_.use_snzi) {
       p.snzi_->depart(tid);
     } else {
-      p.state_[state_slot(tid)].store(kIdle);
-      if (sharded_) socket_count_update(p, tid, -1);
+      p.state_[static_cast<std::size_t>(tid)].store(kIdle);
     }
   }
 
@@ -1268,44 +1148,27 @@ class SpRWLock {
     }
     Plane& p = plane();
     if (cfg_.use_snzi) return p.snzi_->query();
-    if (sharded_) {
-      // Hierarchical scan: S transactionally-subscribed socket summaries
-      // instead of ceil(T/8) flag lines. A reader arriving on any socket
-      // bumps its summary line's version (socket_count_update publishes
-      // through the engine), which aborts this transaction exactly as a
-      // flag store to a subscribed flag line would — the read set got
-      // smaller, not the set of interleavings that kill the scan.
-      // broken_scan_skip_tid blinds the scan to that tid's whole socket
-      // (checker self-validation of the sharded layout; see Config).
-      const int skip_socket =
-          cfg_.broken_scan_skip_tid >= 0
-              ? cfg_.topology.socket_of(cfg_.broken_scan_skip_tid)
-              : -1;
-      for (int s = 0; s < sockets_; ++s) {
-        if (s == skip_socket) continue;
-        if (p.socket_count_[socket_word(s)].load() != 0) return true;
+    if (cfg_.sabotage == Sabotage::kScanSkipsTid0) {
+      // The broken twin's scan: word by word, blind to reader tid 0.
+      for (int t = 1; t < cfg_.max_threads; ++t) {
+        if (t != tid && state_raw(p, t) == kReader) return true;
       }
       return false;
     }
-    if (cfg_.batched_reader_scan && cfg_.broken_scan_skip_tid < 0) {
-      // Line-granular scan: state_ is 64-byte aligned, so elements
-      // [base, base+8) share one cache line; one OR-summary read covers
-      // them all. kReader sets bit 0 and kWriter bit 1, so the writer's own
-      // flag (and other writers') never trips the early exit — no tid skip
-      // needed. A reader flag published concurrently bumps the line version
-      // and aborts this transaction exactly as the per-word scan would.
-      const auto n = static_cast<std::size_t>(cfg_.max_threads);
-      for (std::size_t base = 0; base < n; base += kFlagsPerLine) {
-        const std::size_t count = std::min(kFlagsPerLine, n - base);
-        if ((htm::line_or(*engine, &p.state_[base], count) & kReader) != 0) {
-          return true;
-        }
+    const auto n = static_cast<std::size_t>(cfg_.max_threads);
+    // Line-granular scan: state_ is 64-byte aligned, so elements
+    // [base, base+8) share one cache line; one OR-summary read covers them
+    // all, and a writer's commit check costs ceil(T/8) transactional line
+    // reads instead of T word reads. kReader sets bit 0 and kWriter bit 1,
+    // so the writer's own flag (and other writers') never trips the early
+    // exit — no tid skip needed. A reader flag published concurrently bumps
+    // the line version and aborts this transaction exactly as a per-word
+    // scan would.
+    for (std::size_t base = 0; base < n; base += kFlagsPerLine) {
+      const std::size_t count = std::min(kFlagsPerLine, n - base);
+      if ((htm::line_or(*engine, &p.state_[base], count) & kReader) != 0) {
+        return true;
       }
-      return false;
-    }
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (t == tid || t == cfg_.broken_scan_skip_tid) continue;
-      if (p.state_[static_cast<std::size_t>(t)].load() == kReader) return true;
     }
     return false;
   }
@@ -1392,7 +1255,7 @@ class SpRWLock {
   /// Plain (uncharged beyond one load) view of another thread's state,
   /// used by the scheduling code that runs outside any transaction.
   std::uint64_t state_raw(Plane& p, int t) {
-    return p.state_[state_slot(t)].load();
+    return p.state_[static_cast<std::size_t>(t)].load();
   }
 
   /// Returns false iff the deadline expired before the SGL was acquired.
@@ -1454,31 +1317,22 @@ class SpRWLock {
       while (p.snzi_->query()) platform::pause();
       return;
     }
-    // Sharded mode drains per slot too (state_raw resolves through the
-    // shard layout): the socket summaries are for the *transactional*
-    // commit scan, where read-set size decides aborts. Here the SGL is
-    // held and arriving readers defer with a transient advertise/
-    // unadvertise — a count-based drain would keep observing their +1/-1
-    // churn and spin long after every section finished, while the per-slot
-    // scan passes each slot the moment it clears and never revisits it.
     for (int t = 0; t < cfg_.max_threads; ++t) {
       if (t == tid) continue;
       while (state_raw(p, t) == kReader) platform::pause();
     }
   }
 
-  Config cfg_;
+  // The lock's only engine-visible words, kept together at the front: a
+  // line-aligned lock holds all three on its first cache line. Conflicts
+  // are line-granular, so which of them share a line is part of the lock's
+  // observable behaviour.
   locks::SglLock gl_;
-  // Sharding geometry, resolved once from cfg_ (declared before use).
-  // socket_stride_ is the flag-slot count each socket's shard occupies,
-  // rounded to line granularity so shards never share a line.
-  bool sharded_;
-  int sockets_;
-  std::size_t socket_stride_;
-  // --- BRAVO shell (the O(1)-word cold-lock state) ------------------------
-  std::uint32_t lock_id_ = 0;
   htm::Shared<std::uint64_t> bias_;             ///< kBiasOff/On/Revoking
   htm::Shared<std::uint64_t> plane_published_;  ///< 1 once plane_ is set (bravo)
+  Config cfg_;
+  // --- BRAVO shell (the O(1)-word cold-lock state) ------------------------
+  std::uint32_t lock_id_ = 0;
   std::atomic<Plane*> plane_{nullptr};
   std::atomic<std::uint64_t> reader_streak_{0};
   std::atomic<std::uint64_t> last_revoke_end_{0};

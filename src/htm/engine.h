@@ -60,6 +60,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -297,6 +298,18 @@ class Engine {
   static Engine* current() noexcept {
     if (t_current != nullptr) return t_current;
     return g_current.load(std::memory_order_acquire);
+  }
+  /// current() for entry points that cannot run without an engine (the
+  /// HTM write paths): throws std::logic_error naming `who` instead of
+  /// handing back a null pointer to dereference.
+  static Engine& require(const char* who) {
+    Engine* e = current();
+    if (e == nullptr) {
+      throw std::logic_error(std::string(who) +
+                             ": no htm::Engine installed; wrap the run in "
+                             "an htm::EngineScope");
+    }
+    return *e;
   }
   static void set_current(Engine* e) noexcept {
     t_current = e;

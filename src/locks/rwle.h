@@ -89,7 +89,7 @@ class RWLELock {
 
   template <class F>
   void write(int /*cs_id*/, F&& f) {
-    htm::Engine* engine = htm::Engine::current();
+    htm::Engine& engine = htm::Engine::require("RWLELock::write");
     const int self = platform::thread_id();
 
     int attempts = 0;
@@ -97,7 +97,7 @@ class RWLELock {
       while (rot_lock_.is_locked()) platform::pause();
       ++attempts;
       const htm::TxStatus status =
-          engine->try_transaction([&] { return htm_write_body(self, f); });
+          engine.try_transaction([&] { return htm_write_body(self, f); });
       if (status.committed()) {
         modes_.record_write(CommitMode::kHtm);
         return;
@@ -120,7 +120,7 @@ class RWLELock {
       rot_lock_.unlock();
     });
     for (int rot_attempts = 1;; ++rot_attempts) {
-      const htm::TxStatus status = engine->try_rot([&] {
+      const htm::TxStatus status = engine.try_rot([&] {
         platform::sched_point(SchedKind::kWriteEnter, this);
         f();
         quiesce(self);  // leaves the commit window open for the publish
@@ -192,7 +192,7 @@ class RWLELock {
   AcquireResult try_write_for(int /*cs_id*/, std::uint64_t budget_cycles,
                               F&& f) {
     const std::uint64_t deadline = checked_deadline(budget_cycles);
-    htm::Engine* engine = htm::Engine::current();
+    htm::Engine& engine = htm::Engine::require("RWLELock::try_write_for");
     const int self = platform::thread_id();
 
     int attempts = 0;
@@ -203,7 +203,7 @@ class RWLELock {
       }
       ++attempts;
       const htm::TxStatus status =
-          engine->try_transaction([&] { return htm_write_body(self, f); });
+          engine.try_transaction([&] { return htm_write_body(self, f); });
       if (status.committed()) {
         modes_.record_write(CommitMode::kHtm);
         return AcquireResult::kAcquired;
@@ -227,7 +227,7 @@ class RWLELock {
       rot_lock_.unlock();
     });
     for (int rot_attempts = 1;; ++rot_attempts) {
-      const htm::TxStatus status = engine->try_rot([&] {
+      const htm::TxStatus status = engine.try_rot([&] {
         platform::sched_point(SchedKind::kWriteEnter, this);
         f();
         quiesce_until(self, deadline, engine);
@@ -363,10 +363,10 @@ class RWLELock {
   /// Timed quiescence, run inside a ROT: on expiry it closes the commit
   /// window (plain atomic — the rollback would not) and aborts the
   /// transaction, discarding the buffered writes.
-  void quiesce_until(int self, std::uint64_t deadline, htm::Engine* engine) {
+  void quiesce_until(int self, std::uint64_t deadline, htm::Engine& engine) {
     const auto timed_out = [&]() {
       commit_window_.store(false, std::memory_order_release);
-      engine->abort_tx(kCodeTimeout);
+      engine.abort_tx(kCodeTimeout);
     };
     if (!grace_period_until(self, deadline)) timed_out();
     for (int probe = 1;; ++probe) {

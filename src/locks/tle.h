@@ -93,7 +93,7 @@ class TLELock {
   template <class F>
   bool elide_until(SchedKind enter, SchedKind exit, std::uint64_t deadline,
                    F&& f, CommitMode& mode) {
-    htm::Engine* engine = htm::Engine::current();
+    htm::Engine& engine = htm::Engine::require("TLELock");
     int attempts = 0;
     for (;;) {
       while (gl_.is_locked()) {
@@ -102,7 +102,7 @@ class TLELock {
       }
       ++attempts;
       const htm::TxStatus status =
-          engine->try_transaction([&]() -> std::optional<htm::Abort> {
+          engine.try_transaction([&]() -> std::optional<htm::Abort> {
             // Subscription: a later SGL acquisition aborts this attempt.
             if (gl_.is_locked()) return htm::Abort{kCodeLockBusy};
             platform::sched_point(enter, this);

@@ -130,10 +130,9 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAgree) {
 }
 
 // The NUMA sweep's shape (fig_numa_scaling): a 2-socket topology with
-// line-owner tracking in the engine and socket-sharded reader tracking in
-// the lock. The coherence model's owner table lives per engine and each
-// point owns its engine, so fanning points across workers must stay
-// byte-identical to the serial run.
+// line-owner tracking in the engine. The coherence model's owner table
+// lives per engine and each point owns its engine, so fanning points
+// across workers must stay byte-identical to the serial run.
 SuiteCapture run_numa_suite(int jobs, std::uint64_t seed) {
   SuiteCapture cap;
   const Machine m = broadwell_machine();
@@ -145,49 +144,44 @@ SuiteCapture run_numa_suite(int jobs, std::uint64_t seed) {
   p.warmup_cycles = 20'000;
   p.measure_cycles = 100'000;
   Runner runner(jobs);
-  for (const int n : {2, 4}) {
-    for (const bool sharded : {false, true}) {
-      auto point = std::make_shared<SeriesPoint>();
-      point->lock = sharded ? "sharded" : "flat";
-      point->threads = n;
-      runner.submit(
-          [point, m, p, n, sharded] {
-            htm::EngineConfig ec;
-            ec.capacity = m.capacity_at(n);
-            ec.max_threads = n;
-            ec.seed = p.seed;
-            ec.topology = sim::Topology::split(n, 2);
-            ec.track_line_owners = true;
-            htm::Engine engine(ec);
-            workloads::HashMap map = make_figure_map(p, n);
-            core::Config c =
-                core::Config::variant(core::SchedulingVariant::kFull, n);
-            c.topology = ec.topology;
-            c.socket_sharded_tracking = sharded;
-            core::SpRWLock lock(c);
-            workloads::DriverConfig dc;
-            dc.threads = n;
-            dc.update_ratio = p.update_ratio;
-            dc.lookups_per_read = p.lookups_per_read;
-            dc.key_space = p.key_space;
-            dc.warmup_cycles = p.warmup_cycles;
-            dc.measure_cycles = p.measure_cycles;
-            dc.seed = p.seed;
-            sim::Simulator sim;
-            point->run = run_hashmap(sim, engine, lock, map, dc);
-            point->final_time = sim.final_time();
-          },
-          [point, &cap] {
-            const workloads::RunResult& r = point->run;
-            const Breakdown b =
-                make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-            cap.rows += format_series_row(point->lock.c_str(), point->threads,
-                                          r.throughput_tx_s(), b,
-                                          r.read_latency.mean(),
-                                          r.write_latency.mean());
-            cap.final_times.push_back(point->final_time);
-          });
-    }
+  for (const int n : {2, 4, 8}) {
+    auto point = std::make_shared<SeriesPoint>();
+    point->lock = "flat";
+    point->threads = n;
+    runner.submit(
+        [point, m, p, n] {
+          htm::EngineConfig ec;
+          ec.capacity = m.capacity_at(n);
+          ec.max_threads = n;
+          ec.seed = p.seed;
+          ec.topology = sim::Topology::split(n, 2);
+          ec.track_line_owners = true;
+          htm::Engine engine(ec);
+          workloads::HashMap map = make_figure_map(p, n);
+          core::SpRWLock lock(
+              core::Config::variant(core::SchedulingVariant::kFull, n));
+          workloads::DriverConfig dc;
+          dc.threads = n;
+          dc.update_ratio = p.update_ratio;
+          dc.lookups_per_read = p.lookups_per_read;
+          dc.key_space = p.key_space;
+          dc.warmup_cycles = p.warmup_cycles;
+          dc.measure_cycles = p.measure_cycles;
+          dc.seed = p.seed;
+          sim::Simulator sim;
+          point->run = run_hashmap(sim, engine, lock, map, dc);
+          point->final_time = sim.final_time();
+        },
+        [point, &cap] {
+          const workloads::RunResult& r = point->run;
+          const Breakdown b =
+              make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
+          cap.rows += format_series_row(point->lock.c_str(), point->threads,
+                                        r.throughput_tx_s(), b,
+                                        r.read_latency.mean(),
+                                        r.write_latency.mean());
+          cap.final_times.push_back(point->final_time);
+        });
   }
   runner.drain();
   return cap;

@@ -111,55 +111,6 @@ TEST(CheckerLocks, UnknownLockNameIsRejected) {
   EXPECT_THROW(make_runner("NoSuchLock", Workload{}), std::invalid_argument);
 }
 
-// The hierarchical-tracking acceptance bar: 2-thread bounded-exhaustive
-// DFS over the sharded variant (split over two simulated sockets, so the
-// commit scan really reads two summaries) terminates with no violation.
-TEST(CheckerLocks, AcceptanceDfsSpRWLShardedTwoThreads) {
-  Workload w;
-  w.threads = 2;
-  w.writers = 1;
-  ExploreOptions opt;
-  const ExploreReport rep = explore_dfs(make_runner("SpRWL-sharded", w), w, opt);
-  EXPECT_TRUE(rep.exhausted) << "DFS did not exhaust the bounded tree";
-  EXPECT_GT(rep.schedules, 1u);
-  EXPECT_FALSE(rep.found_violation)
-      << to_string(rep.verdict.kind) << ": " << rep.verdict.detail;
-  ::testing::Test::RecordProperty(
-      "sharded_dfs_schedules", static_cast<int>(rep.schedules));
-}
-
-// Self-validation under the hierarchical layout: a commit scan that skips
-// the socket summary owning reader tid 0 must be caught exactly like the
-// flat broken scan — minimized, deterministic, artifact round-tripped.
-// Guards against the sharded read-set reduction hiding reader arrivals
-// from the checker.
-TEST(CheckerLocks, ShardedBrokenScanCaughtWithDeterministicRepro) {
-  const Workload w;
-  ExploreOptions opt;
-  opt.lock_name = "SpRWL-sharded-broken";
-  opt.artifact_dir = ::testing::TempDir();
-  opt.seed = 123;
-  const RunFn run = make_runner("SpRWL-sharded-broken", w);
-  const ExploreReport rep = explore_dfs(run, w, opt);
-
-  ASSERT_TRUE(rep.found_violation)
-      << "the checker missed the broken sharded scan";
-  EXPECT_EQ(rep.verdict.kind, Verdict::kTorn) << rep.verdict.detail;
-  ASSERT_FALSE(rep.repro.empty());
-  EXPECT_EQ(replay_trace(run, rep.repro).kind, rep.verdict.kind);
-  EXPECT_EQ(replay_trace(run, rep.repro).kind, rep.verdict.kind);
-
-  ASSERT_FALSE(rep.artifact_path.empty());
-  ReproArtifact a;
-  ASSERT_TRUE(read_artifact(rep.artifact_path, &a)) << rep.artifact_path;
-  EXPECT_EQ(a.lock, "SpRWL-sharded-broken");
-  EXPECT_EQ(a.choices, rep.repro);
-  const Verdict from_file =
-      replay_trace(make_runner(a.lock, a.workload), a.choices);
-  EXPECT_EQ(from_file.kind, Verdict::kTorn) << from_file.detail;
-  std::remove(rep.artifact_path.c_str());
-}
-
 // The global-reader-bias acceptance bar: 2-thread bounded-exhaustive DFS
 // over the bravo variant (bias starts on; a fresh 8-slot shared table per
 // schedule) terminates with no violation — covering fast-path publishes
@@ -182,7 +133,7 @@ TEST(CheckerLocks, AcceptanceDfsSpRWLBravoTwoThreads) {
 // drain that skips the table's last slot, revocation waits for nobody — a
 // fast-path reader parked in slot 0 survives it and the writer commits
 // over the reader's snapshot. The checker must catch it, minimize it, and
-// round-trip the artifact exactly like the flat and sharded broken scans.
+// round-trip the artifact exactly like the broken commit scan.
 TEST(CheckerLocks, BravoBrokenRevokeCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;

@@ -1,5 +1,6 @@
-// Socket-sharded BRAVO reader tables (bravo::Config::shard_by_socket,
-// DESIGN.md §16): shard geometry derived from the topology, per-socket slot
+// Socket-sharded BRAVO reader tables (DESIGN.md §16): the layout follows
+// the topology (sharded exactly when it has more than one socket), shard
+// geometry derived from it, per-socket slot
 // confinement (a reader's publish never leaves its socket's lines), the
 // summary-gated revocation drain's exact O(sockets) clean cost, the
 // migration-safe release (summary of the *registering* shard), per-shard
@@ -31,7 +32,6 @@ std::shared_ptr<bravo::ReaderTable> make_sharded_table(
   bravo::ReaderTable::Config tc;
   tc.max_threads = threads;
   tc.slots = per_shard_slots;
-  tc.shard_by_socket = true;
   // Clear on every outermost release: these tests assert exact summary
   // transitions; the amortized default is covered by SummaryClearsAmortized.
   tc.summary_clear_period = 1;
@@ -48,6 +48,27 @@ Config sharded_bravo_config(int threads,
   return cfg;
 }
 
+// The layout follows the topology, with no knob: one socket is the global
+// table — unsharded, auto-sized for max(sockets × cores, max_threads)
+// threads rounded to whole lines — whatever its core count says.
+TEST(BravoNuma, OneSocketTableIsGlobal) {
+  bravo::ReaderTable::Config tc;
+  tc.max_threads = 12;
+  tc.slots_per_thread = 4;
+  tc.topology = sim::Topology::split(12, 1);
+  bravo::ReaderTable t(tc);
+  EXPECT_FALSE(t.sharded());
+  EXPECT_EQ(t.shard_count(), 1);
+  EXPECT_EQ(t.slot_count(), 48u);  // 12 threads x 4 slots, whole lines
+  EXPECT_EQ(t.shard_slots(), t.slot_count());
+  tc.topology.cores_per_socket = 16;  // more cores than threads
+  EXPECT_EQ(bravo::ReaderTable{tc}.slot_count(), 64u);
+  tc.topology = sim::Topology{};  // default shape: sized by max_threads
+  tc.max_threads = 3;
+  EXPECT_EQ(bravo::ReaderTable{tc}.slot_count(), 16u);  // 12 rounded up
+  EXPECT_FALSE(bravo::ReaderTable{tc}.sharded());
+}
+
 // Shard geometry follows the topology: one shard per socket, sized from
 // that socket's core count (slots_per_thread per core), each starting on
 // its own cache line; slot_of confines every (lock, tid) hash to the
@@ -56,7 +77,6 @@ TEST(BravoNuma, ShardGeometryFromTopology) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = 16;
   tc.slots_per_thread = 4;
-  tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(16, 4);  // 4 sockets x 4 cores
   bravo::ReaderTable t(tc);
   EXPECT_TRUE(t.sharded());
@@ -81,7 +101,6 @@ TEST(BravoNuma, ShardGeometryFromTopology) {
 TEST(BravoNuma, EmptyShardRejected) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = 8;
-  tc.shard_by_socket = true;
   tc.topology.sockets = 2;  // cores_per_socket left 0: shard would be empty
   EXPECT_THROW(bravo::ReaderTable{tc}, std::invalid_argument);
   tc.slots = 4;  // explicit per-shard override sidesteps the auto-sizing
@@ -95,7 +114,6 @@ TEST(BravoNuma, OneCorePerSocketShardsStayValid) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = 4;
   tc.slots_per_thread = 2;
-  tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(4, 4);  // 4 sockets x 1 core
   bravo::ReaderTable t(tc);
   EXPECT_EQ(t.shard_count(), 4);
@@ -115,7 +133,6 @@ TEST(BravoNuma, CleanDrainReadsOneLinePerSocket) {
   htm::EngineScope scope(engine);
   bravo::ReaderTable::Config tc;
   tc.max_threads = 16;
-  tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(16, 4);
   bravo::ReaderTable sharded(tc);
   bravo::ReaderTable::Config gc;
@@ -148,7 +165,6 @@ TEST(BravoNuma, SummaryClearsAmortized) {
   htm::EngineScope scope(engine);
   bravo::ReaderTable::Config tc;
   tc.max_threads = 2;
-  tc.shard_by_socket = true;
   tc.summary_clear_period = 2;
   tc.topology = sim::Topology::split(2, 2);
   bravo::ReaderTable table(tc);

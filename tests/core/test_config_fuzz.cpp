@@ -1,6 +1,6 @@
 // Configuration fuzz: SpRWL's safety properties must hold for EVERY
-// combination of its knobs (scheduling toggles, tracking scheme and
-// layout, retry budgets, versioned SGL, δ) under every capacity profile.
+// combination of its knobs (scheduling toggles, tracking scheme, retry
+// budgets, versioned SGL, δ) under every capacity profile.
 // Each fuzz case derives a random-but-deterministic Config from its index
 // and runs the torn-read + lost-update workload.
 #include <gtest/gtest.h>
@@ -32,12 +32,6 @@ Config fuzz_config(std::uint64_t index, int threads) {
   cfg.versioned_sgl = rng.next_bool(0.3);
   cfg.delta_fraction = rng.next_double();
   cfg.snzi_levels = static_cast<int>(rng.next_in(0, 4));
-  // Socket-sharded tracking on a 2-socket split, crossed with every draw
-  // above (use_snzi and versioned_sgl included).
-  cfg.socket_sharded_tracking = rng.next_bool(0.5);
-  if (cfg.socket_sharded_tracking) {
-    cfg.topology = sim::Topology::split(threads, 2);
-  }
   return cfg;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/platform.h"
@@ -178,6 +179,14 @@ TEST(RWLE, TornFreeUnderMixedStress) {
   EXPECT_EQ(torn, 0u);
   EXPECT_EQ(p.a.raw_load(), 400u);
   EXPECT_EQ(p.a.raw_load(), p.b.raw_load());
+}
+
+// With no EngineScope installed there is no HTM to elide onto: the write
+// entry point must throw instead of dereferencing a null engine.
+TEST(RWLE, WriteWithoutEngineThrows) {
+  ThreadIdScope tid(0);
+  RWLELock lock{config(1)};
+  EXPECT_THROW(lock.write(1, [] {}), std::logic_error);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/platform.h"
@@ -121,6 +122,14 @@ TEST(TLE, FallbackExcludesHardwareTransactions) {
   EXPECT_EQ(lock.stats().writes.gl, 80u);
   EXPECT_EQ(a.v.raw_load(), 80u);
   EXPECT_EQ(b.v.raw_load(), 80u);
+}
+
+// With no EngineScope installed there is no HTM to elide onto: the write
+// entry point must throw instead of dereferencing a null engine.
+TEST(TLE, WriteWithoutEngineThrows) {
+  ThreadIdScope tid(0);
+  TLELock lock{config(1)};
+  EXPECT_THROW(lock.write(1, [] {}), std::logic_error);
 }
 
 }  // namespace
